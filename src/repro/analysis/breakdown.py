@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 
 
@@ -30,7 +30,7 @@ class BreakdownComponent:
 class DesignBreakdown:
     """The full breakdown for one design at one hop count."""
 
-    design: NIDesign
+    design: str
     hops: int
     components: List[BreakdownComponent]
 
@@ -61,25 +61,26 @@ class LatencyBreakdownModel:
     # ------------------------------------------------------------------
     # Per-design breakdowns
     # ------------------------------------------------------------------
-    def breakdown(self, design: NIDesign, hops: int = 1) -> DesignBreakdown:
+    def breakdown(self, design: str, hops: int = 1) -> DesignBreakdown:
         """Breakdown of a single-cache-block remote read for ``design``."""
         if hops < 0:
             raise ConfigurationError("hop count cannot be negative")
         builders = {
-            NIDesign.EDGE: self._edge,
-            NIDesign.PER_TILE: self._per_tile,
-            NIDesign.SPLIT: self._split,
-            NIDesign.NUMA: self._numa,
+            "edge": self._edge,
+            "per_tile": self._per_tile,
+            "split": self._split,
+            "numa": self._numa,
         }
         return DesignBreakdown(design=design, hops=hops, components=builders[design](hops))
 
-    def all_breakdowns(self, hops: int = 1) -> Dict[NIDesign, DesignBreakdown]:
+    def all_breakdowns(self, hops: int = 1) -> Dict[str, DesignBreakdown]:
         """Table 3: every design at the same hop count."""
-        return {design: self.breakdown(design, hops) for design in NIDesign}
+        return {design: self.breakdown(design, hops)
+                for design in ("edge", "per_tile", "split", "numa")}
 
-    def overhead_over_numa(self, design: NIDesign, hops: int = 1) -> float:
+    def overhead_over_numa(self, design: str, hops: int = 1) -> float:
         """Fractional overhead of ``design`` over the NUMA projection."""
-        return self.breakdown(design, hops).overhead_over(self.breakdown(NIDesign.NUMA, hops))
+        return self.breakdown(design, hops).overhead_over(self.breakdown("numa", hops))
 
     # ------------------------------------------------------------------
     # Component builders
@@ -173,6 +174,6 @@ class LatencyBreakdownModel:
             BreakdownComponent("B6) Transfer reply to core", cal.tile_to_edge_transfer_cycles),
         ]
         return {
-            "qp_based": DesignBreakdown(NIDesign.EDGE, hops, qp_components),
-            "numa": DesignBreakdown(NIDesign.NUMA, hops, numa_components),
+            "qp_based": DesignBreakdown("edge", hops, qp_components),
+            "numa": DesignBreakdown("numa", hops, numa_components),
         }

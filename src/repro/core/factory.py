@@ -3,7 +3,7 @@
 The configured design name is resolved through the component registry
 (:data:`repro.scenario.registry.NI_DESIGNS`), so any registered assembly
 class — built-in or third-party — is constructible without editing this
-module.  The legacy ``NIDesign`` enum values resolve to the same names.
+module.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Registry-inventory checking, shared by lint rule REP004 and the CI shim.
+"""Registry-inventory checking, shared by lint rule REP004 and the CI gate.
 
 Two views of the component inventory are validated against
 ``tests/data/registry_manifest.json``:
@@ -8,8 +8,10 @@ Two views of the component inventory are validated against
   .RegistryDisciplineRule` (REP004) as part of ``repro lint``;
 * the **live** view — what the populated registries actually expose through
   ``repro-experiments list --json`` — is checked by
-  :func:`check_live_inventory`, which ``tools/check_registry_manifest.py``
-  (now a thin shim) delegates to for CI compatibility.
+  :func:`check_live_inventory`; CI runs it as::
+
+      repro-experiments list --json registry_inventory.json
+      python -m repro.lint.manifest --inventory registry_inventory.json
 
 One module owns the manifest format and the comparison, so the two gates
 cannot drift apart.
@@ -17,6 +19,7 @@ cannot drift apart.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -76,7 +79,7 @@ def compare_inventory(actual: Dict[str, List[str]],
 
 def check_live_inventory(manifest_path: str,
                          inventory_path: Optional[str] = None) -> int:
-    """The CI gate the old ``tools/check_registry_manifest.py`` provided."""
+    """Compare the live inventory with the manifest; 0 on a match, 1 on drift."""
     manifest = load_manifest(manifest_path)
     actual = live_inventory(inventory_path)
     failures = compare_inventory(actual, manifest)
@@ -94,15 +97,20 @@ def check_live_inventory(manifest_path: str,
     return 0
 
 
-def main(argv: List[str]) -> int:
-    """CLI used by the ``tools/check_registry_manifest.py`` shim."""
-    inventory_path = None
-    if "--inventory" in argv:
-        index = argv.index("--inventory")
-        try:
-            inventory_path = argv[index + 1]
-        except IndexError:
-            raise SystemExit("--inventory requires a path argument")
-        argv = argv[:index] + argv[index + 2:]
-    manifest_path = argv[0] if argv else DEFAULT_MANIFEST
-    return check_live_inventory(manifest_path, inventory_path)
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.lint.manifest [--inventory CATALOG.json] [MANIFEST]``."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.lint.manifest",
+        description="Check the live registry inventory against the checked-in manifest.",
+    )
+    parser.add_argument("manifest", nargs="?", default=DEFAULT_MANIFEST,
+                        help="manifest JSON (default: %(default)s)")
+    parser.add_argument("--inventory", metavar="CATALOG", default=None,
+                        help="catalog written by 'repro-experiments list --json' "
+                             "(default: generate it in-process)")
+    args = parser.parse_args(argv)
+    return check_live_inventory(args.manifest, args.inventory)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 from repro.coherence.directory import DirectoryController
 from repro.coherence.protocol import CoherenceProtocol
 from repro.coherence.states import CacheState
-from repro.config import MessageClass, NIDesign, SystemConfig, design_name
+from repro.config import MessageClass, SystemConfig
 from repro.core.factory import build_ni_design
 from repro.core.placement import build_placement
 from repro.errors import ConfigurationError, SimulationError
@@ -45,7 +45,7 @@ class ManycoreSoc(NodeServices):
     """A 64-core tiled SoC with the configured NI design."""
 
     def __init__(self, config: SystemConfig, sim: Optional[Simulator] = None, node_id: int = 0) -> None:
-        if design_name(config.ni.design) == NIDesign.NUMA.value:
+        if config.ni.design == "numa":
             raise ConfigurationError(
                 "ManycoreSoc models the QP-based designs; use repro.numa.NumaMachine for the baseline"
             )

@@ -20,10 +20,9 @@ imports it lazily on first use, so ``WORKLOADS.names()`` is complete whether
 or not the caller imported the workload modules first.
 
 :meth:`ComponentRegistry.resolve` is the one string→component normalization
-helper shared by the config enums (``NIDesign.coerce``), CLI ``--set``
-parsing and experiment parameter validation: it accepts a canonical name, an
-enum member (anything with a string ``.value``), a registered component or
-an instance of one, and returns the canonical name.
+helper shared by scenario specs, config overrides, CLI ``--set`` parsing and
+experiment parameter validation: it accepts a canonical name, a registered
+component or an instance of one, and returns the canonical name.
 """
 
 from __future__ import annotations
@@ -149,22 +148,17 @@ class ComponentRegistry:
     # Normalization
     # ------------------------------------------------------------------
     def resolve(self, value: object) -> str:
-        """Normalize a name / enum member / component (class or instance) to its canonical name."""
+        """Normalize a name / component (class or instance) to its canonical name."""
         self._ensure_populated()
         if isinstance(value, str):
             if value in self._entries:
                 return value
             raise RegistryError(self._unknown_message(value))
-        enum_value = getattr(value, "value", None)
-        if isinstance(enum_value, str) and enum_value in self._entries:
-            return enum_value
         for name, entry in self._entries.items():
             if value is entry.component:
                 return name
             if inspect.isclass(entry.component) and isinstance(value, entry.component):
                 return name
-        if isinstance(enum_value, str):
-            raise RegistryError(self._unknown_message(enum_value))
         raise RegistryError(
             "cannot resolve %r to a registered %s (registered: %s)"
             % (value, self.kind, ", ".join(self.names()) or "none")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.config import SystemConfig
-from repro.errors import ScenarioError
+from repro.errors import RegistryError, ScenarioError
 from repro.scenario.registry import (
     ARRIVALS,
     FAULT_MODELS,
@@ -117,26 +117,9 @@ class ScenarioSpec:
         when omitted).
         """
         config = base if base is not None else SystemConfig.paper_defaults()
-        try:
-            config = _apply_section_override(config, "ni", "design", self.design)
-        except ScenarioError:
-            # Registry-added designs outside the legacy NIDesign enum keep
-            # their canonical name as the config value; the factory resolves
-            # either form through the registry.
-            config = config.replace(
-                ni=dataclasses.replace(config.ni, design=self.design)
-            )
-        topology_entry = TOPOLOGIES.entry(self.topology)
-        if topology_entry.metadata.get("scope", "chip") == "chip":
-            try:
-                config = _apply_section_override(config, "noc", "topology", self.topology)
-            except ScenarioError:
-                # Registry-added chip topologies outside the legacy
-                # TopologyKind enum keep their canonical name as the config
-                # value; build_placement resolves either form.
-                config = config.replace(
-                    noc=dataclasses.replace(config.noc, topology=self.topology)
-                )
+        config = config.with_design(self.design)
+        if TOPOLOGIES.entry(self.topology).metadata.get("scope", "chip") == "chip":
+            config = config.with_topology(self.topology)
         for dotted, value in self.config_overrides.items():
             section, _, fieldname = dotted.partition(".")
             if not fieldname:
@@ -255,7 +238,24 @@ def _apply_section_override(
             % (section, fieldname, ", ".join(sorted(f.name for f in dataclasses.fields(current))))
         )
     coerced = _coerce_field_value(getattr(current, fieldname), fieldname, value)
+    if (section, fieldname) == ("ni", "design"):
+        coerced = NI_DESIGNS.resolve(coerced)
+    elif (section, fieldname) == ("noc", "topology"):
+        coerced = _chip_topology(coerced)
     return config.replace(**{section: dataclasses.replace(current, **{fieldname: coerced})})
+
+
+def _chip_topology(value: object) -> str:
+    """Resolve a ``noc.topology`` override to a registered chip-scoped topology."""
+    name = TOPOLOGIES.resolve(value)
+    scope = TOPOLOGIES.entry(name).metadata.get("scope", "chip")
+    if scope != "chip":
+        raise RegistryError(
+            "noc.topology takes a chip topology (registered: %s), but %r is "
+            "%s-scoped; did you mean ScenarioSpec(topology=%r)?"
+            % (", ".join(TOPOLOGIES.names(scope="chip")), name, scope, name)
+        )
+    return name
 
 
 def _coerce_field_value(current: object, fieldname: str, value: object) -> object:

@@ -1,11 +1,11 @@
-"""Tests for the command-line interface (subcommands + legacy forms)."""
+"""Tests for the command-line interface subcommands."""
 
 import json
 
 import pytest
 
 from repro.campaign import load_report, load_results
-from repro.cli import _normalize_legacy, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -19,23 +19,12 @@ class TestParser:
         assert args.experiment == "fig6"
         assert args.assignments == ["design=edge,split"] and args.parallel == 4
 
-    def test_legacy_argv_normalization(self):
-        assert _normalize_legacy(["--list"]) == ["list"]
-        assert _normalize_legacy(["table1", "fig5"]) == ["run", "table1", "fig5"]
-        assert _normalize_legacy(["--fast"]) == ["run", "--fast"]
-        assert _normalize_legacy([]) == ["run"]
-        assert _normalize_legacy(["sweep", "fig6"]) == ["sweep", "fig6"]
-
 
 class TestList:
     def test_list_prints_experiment_names(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "table1" in output and "fig7" in output
-
-    def test_legacy_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        assert "table1" in capsys.readouterr().out
 
     def test_list_json_catalog(self, capsys):
         assert main(["list", "--json"]) == 0
@@ -77,13 +66,8 @@ class TestRun:
         output = capsys.readouterr().out
         assert "Table 1" in output and "Table 3" in output
 
-    def test_legacy_positional_names(self, capsys):
-        assert main(["table1", "table3"]) == 0
-        output = capsys.readouterr().out
-        assert "Table 1" in output and "Table 3" in output
-
     def test_fast_flag_runs_only_analytical_experiments(self, capsys):
-        assert main(["--fast"]) == 0
+        assert main(["run", "--fast"]) == 0
         output = capsys.readouterr().out
         assert "Figure 5" in output and "Figure 7" not in output
 
@@ -120,6 +104,10 @@ class TestRun:
     def test_bad_set_value_reports_error(self, capsys):
         assert main(["run", "table1", "--set", "hops=x"]) == 2
         assert "hops" in capsys.readouterr().err
+
+    def test_unknown_design_reports_error(self, capsys):
+        assert main(["run", "fig6", "--set", "design=bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_set_matching_no_experiment_reports_error(self, capsys):
         assert main(["run", "table1", "--set", "bogus=1"]) == 2

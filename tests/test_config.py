@@ -9,12 +9,10 @@ from repro.config import (
     CACHE_BLOCK_BYTES,
     LatencyCalibration,
     MemoryConfig,
-    NIDesign,
     NocConfig,
     RackConfig,
     RoutingAlgorithm,
     SystemConfig,
-    TopologyKind,
 )
 from repro.errors import ConfigurationError
 
@@ -58,7 +56,7 @@ class TestDefaults:
 
     def test_noc_out_defaults(self):
         cfg = SystemConfig.noc_out_defaults()
-        assert cfg.noc.topology is TopologyKind.NOC_OUT
+        assert cfg.noc.topology == "noc_out"
 
     def test_describe_mentions_key_parameters(self):
         text = SystemConfig.paper_defaults().describe()
@@ -68,22 +66,45 @@ class TestDefaults:
 class TestDerivation:
     def test_with_design_returns_new_config(self):
         cfg = SystemConfig.paper_defaults()
-        derived = cfg.with_design(NIDesign.EDGE)
-        assert derived.ni.design is NIDesign.EDGE
-        assert cfg.ni.design is NIDesign.SPLIT  # original untouched
+        derived = cfg.with_design("edge")
+        assert derived.ni.design == "edge"
+        assert cfg.ni.design == "split"  # original untouched
 
     def test_with_routing(self):
         cfg = SystemConfig.paper_defaults().with_routing(RoutingAlgorithm.XY)
         assert cfg.noc.routing is RoutingAlgorithm.XY
 
     def test_with_topology(self):
-        cfg = SystemConfig.paper_defaults().with_topology(TopologyKind.NOC_OUT)
-        assert cfg.noc.topology is TopologyKind.NOC_OUT
+        cfg = SystemConfig.paper_defaults().with_topology("noc_out")
+        assert cfg.noc.topology == "noc_out"
 
     def test_messaging_designs_excludes_numa(self):
-        designs = NIDesign.messaging_designs()
-        assert NIDesign.NUMA not in designs
-        assert len(designs) == 3
+        from repro.scenario.registry import NI_DESIGNS
+
+        designs = NI_DESIGNS.names(messaging=True)
+        assert "numa" not in designs
+        assert designs == ["edge", "per_tile", "split"]
+
+
+class TestFingerprint:
+    # Cached campaign results and the benchmark's output digests are keyed by
+    # these values; a change here invalidates both.
+    @pytest.mark.parametrize("topology, design, expected", [
+        ("mesh", "edge", "8418b8b9e67e07d3"),
+        ("mesh", "per_tile", "3183a3b95d4a0dfa"),
+        ("mesh", "split", "ece36d5292d4646c"),
+        ("mesh", "numa", "2eb94191bcb54ac6"),
+        ("noc_out", "edge", "e95d4561131f04d9"),
+        ("noc_out", "per_tile", "0b55517cb0bea583"),
+        ("noc_out", "split", "3d536f31ac288c08"),
+        ("noc_out", "numa", "fcdc68d9e3fbbd9f"),
+    ])
+    def test_pinned_fingerprints(self, topology, design, expected):
+        config = SystemConfig.paper_defaults().with_topology(topology).with_design(design)
+        assert config.fingerprint() == expected
+
+    def test_noc_out_defaults_fingerprint(self):
+        assert SystemConfig.noc_out_defaults().fingerprint() == "3d536f31ac288c08"
 
 
 class TestValidation:

@@ -17,8 +17,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.experiments.base import ExperimentResult, ResultMetadata
-from repro.experiments.registry import EXPERIMENTS, get_experiment, get_spec, list_experiments
-from repro.experiments.runner import FAST_EXPERIMENTS, format_results, run_experiments
+from repro.experiments.registry import get_spec, iter_specs, list_specs
 from repro.experiments.spec import Parameter, experiment, unregister
 
 
@@ -75,7 +74,7 @@ class TestResultContainer:
 
 class TestSpec:
     def test_every_experiment_has_a_spec(self):
-        for name in list_experiments():
+        for name in list_specs():
             spec = get_spec(name)
             assert spec.name == name and callable(spec.runner)
 
@@ -227,30 +226,18 @@ class TestSimulatedExperiments:
 
 class TestRegistry:
     def test_every_table_and_figure_is_registered(self):
-        names = list_experiments()
+        names = list_specs()
         for expected in ("table1", "table2", "table3", "fig5", "fig6", "fig7", "fig9", "fig10"):
             assert expected in names
 
     def test_get_unknown_experiment_rejected(self):
         with pytest.raises(ExperimentError):
-            get_experiment("fig99")
-
-    def test_registry_values_are_callable(self):
-        assert all(callable(runner) for runner in EXPERIMENTS.values())
+            get_spec("fig99")
 
     def test_legacy_runner_attribute_matches_spec(self):
-        assert get_experiment("fig6") is get_spec("fig6").runner
+        assert get_spec("fig6").runner is run_fig6
         assert run_fig6.spec is get_spec("fig6")
 
-    def test_runner_formats_fast_experiments(self):
-        results = run_experiments(["table1", "fig5"])
-        text = format_results(results)
-        assert "Table 1" in text and "Figure 5" in text
-
     def test_fast_experiments_are_analytical(self):
-        assert set(FAST_EXPERIMENTS) == {"table1", "table2", "table3", "fig5"}
-
-    def test_run_experiments_applies_applicable_overrides(self):
-        results = run_experiments(["table1", "table3"], overrides={"hops": 2, "simulate": False})
-        assert results[0].metadata.params["hops"] == 2
-        assert results[1].metadata.params["hops"] == 2
+        fast = {spec.name for spec in iter_specs() if spec.fast}
+        assert fast == {"table1", "table2", "table3", "fig5"}

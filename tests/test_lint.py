@@ -749,11 +749,18 @@ class TestLintGate:
             inventory, lint_manifest.load_manifest(COMMITTED_MANIFEST))
         assert failures == []
 
-    def test_manifest_shim_entry_point_still_works(self):
-        import importlib.util
+    def test_manifest_main_checks_the_live_inventory(self, capsys):
+        assert lint_manifest.main([COMMITTED_MANIFEST]) == 0
+        assert "registry inventory matches" in capsys.readouterr().out
 
-        shim_path = os.path.join(REPO_ROOT, "tools", "check_registry_manifest.py")
-        spec = importlib.util.spec_from_file_location("check_registry_manifest", shim_path)
-        shim = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(shim)
-        assert shim.main([COMMITTED_MANIFEST]) == 0
+    def test_manifest_main_checks_a_saved_catalog(self, tmp_path, capsys):
+        catalog = tmp_path / "registry_inventory.json"
+        assert cli_main(["list", "--json", str(catalog)]) == 0
+        assert lint_manifest.main(["--inventory", str(catalog), COMMITTED_MANIFEST]) == 0
+        document = json.loads(catalog.read_text())
+        document["registries"]["designs"] = [
+            item for item in document["registries"]["designs"] if item["name"] != "numa"]
+        catalog.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert lint_manifest.main(["--inventory", str(catalog), COMMITTED_MANIFEST]) == 1
+        assert "designs: missing from the live registry: numa" in capsys.readouterr().err

@@ -14,7 +14,8 @@ import pytest
 
 from helpers import small_config
 
-from repro.config import NIDesign, SystemConfig, TopologyKind
+from repro.config import SystemConfig
+from repro.core.edge import NIEdgeDesign
 from repro.errors import (
     ConfigurationError,
     RegistryError,
@@ -74,10 +75,10 @@ class TestComponentRegistry:
         with pytest.raises(ConfigurationError):
             WORKLOADS.get("no_such_workload")
 
-    def test_resolve_accepts_name_enum_and_component(self):
+    def test_resolve_accepts_name_and_component(self):
         assert NI_DESIGNS.resolve("edge") == "edge"
-        assert NI_DESIGNS.resolve(NIDesign.EDGE) == "edge"
-        assert TOPOLOGIES.resolve(TopologyKind.NOC_OUT) == "noc_out"
+        assert NI_DESIGNS.resolve(NIEdgeDesign) == "edge"
+        assert TOPOLOGIES.resolve("noc_out") == "noc_out"
         assert WORKLOADS.resolve(HotspotReadWorkload) == "hotspot"
         workload = HotspotReadWorkload(small_config())
         assert WORKLOADS.resolve(workload) == "hotspot"
@@ -89,10 +90,11 @@ class TestComponentRegistry:
             NI_DESIGNS.resolve(42)
 
     def test_config_coerce_goes_through_registry(self):
-        assert NIDesign.coerce("per_tile") is NIDesign.PER_TILE
-        with pytest.raises(ConfigurationError, match="registered"):
-            NIDesign.coerce("per-tile")
-        assert TopologyKind.coerce("mesh") is TopologyKind.MESH
+        config = ScenarioSpec(config_overrides={"ni.design": "per_tile",
+                                                "noc.topology": "noc_out"}).resolve_config()
+        assert config.ni.design == "per_tile" and config.noc.topology == "noc_out"
+        with pytest.raises(ConfigurationError, match="did you mean 'per_tile'"):
+            ScenarioSpec(config_overrides={"ni.design": "per-tile"}).resolve_config()
 
     def test_unregister_allows_throwaway_plugins(self):
         @register_workload("throwaway_test_workload")
@@ -131,9 +133,10 @@ class TestScenarioSpec:
         assert base.fingerprint() != base.replace(
             config_overrides={"cores.count": 16}).fingerprint()
 
-    def test_enum_inputs_are_canonicalized(self):
-        spec = ScenarioSpec(design=NIDesign.EDGE, topology=TopologyKind.MESH)
-        assert spec.design == "edge" and spec.topology == "mesh"
+    def test_component_inputs_are_canonicalized(self):
+        spec = ScenarioSpec(design=NIEdgeDesign, workload=HotspotReadWorkload)
+        assert spec.design == "edge" and spec.workload == "hotspot"
+        assert spec == ScenarioSpec(design="edge", workload="hotspot")
 
     def test_unknown_names_fail_with_inventory(self):
         with pytest.raises(RegistryError, match="registered"):
@@ -145,14 +148,14 @@ class TestScenarioSpec:
         spec = ScenarioSpec(design="edge", topology="noc_out",
                             config_overrides={"ni.rrpp_count": 4, "memory.latency_ns": 60})
         config = spec.resolve_config()
-        assert config.ni.design is NIDesign.EDGE
-        assert config.noc.topology is TopologyKind.NOC_OUT
+        assert config.ni.design == "edge"
+        assert config.noc.topology == "noc_out"
         assert config.ni.rrpp_count == 4
         assert config.memory.latency_ns == 60.0
 
     def test_rack_topology_leaves_chip_topology_alone(self):
         config = ScenarioSpec(topology="torus3d").resolve_config()
-        assert config.noc.topology is TopologyKind.MESH
+        assert config.noc.topology == "mesh"
 
     def test_registry_only_chip_topology_resolves_to_its_raw_name(self):
         from repro.core.placement import _mesh_placement
@@ -162,14 +165,27 @@ class TestScenarioSpec:
         try:
             config = ScenarioSpec(topology="test_ring").resolve_config()
             assert config.noc.topology == "test_ring"
-            # The registry dispatch (not the enum) drives placement, so the
-            # machine still builds.
+            # The registry dispatch drives placement, so the machine builds.
             machine = MachineBuilder(ScenarioSpec(
                 topology="test_ring", config_overrides=SMALL)).build_machine()
             assert isinstance(machine, ManycoreSoc)
             assert "test_ring" in config.describe()
         finally:
             TOPOLOGIES.unregister("test_ring")
+
+    @pytest.mark.parametrize("override, registered, hint", [
+        ({"ni.design": "bogus"}, "registered: edge, numa, per_tile, split", None),
+        ({"noc.topology": "noc-out"}, "registered: mesh, noc_out", "did you mean 'noc_out'?"),
+        ({"noc.topology": "torus3d"}, "registered: mesh, noc_out",
+         "did you mean ScenarioSpec(topology='torus3d')?"),
+    ])
+    def test_bad_registry_names_fail_before_simulation(self, override, registered, hint):
+        with pytest.raises(RegistryError) as excinfo:
+            ScenarioSpec(config_overrides=override).resolve_config()
+        message = str(excinfo.value)
+        assert registered in message
+        if hint is not None:
+            assert hint in message
 
     def test_bad_override_paths_are_rejected(self):
         with pytest.raises(ScenarioError, match="no field"):
@@ -181,7 +197,7 @@ class TestScenarioSpec:
 class TestMachineBuilder:
     def test_resolved_config_matches_legacy_with_design_path(self):
         spec = ScenarioSpec(design="edge")
-        legacy = SystemConfig.paper_defaults().with_design(NIDesign.EDGE)
+        legacy = SystemConfig.paper_defaults().with_design("edge")
         assert MachineBuilder(spec).resolve_config().fingerprint() == legacy.fingerprint()
 
     def test_builder_accepts_raw_dicts(self):
@@ -287,7 +303,7 @@ class TestEquivalence:
                             config_overrides=SMALL)
         builder = MachineBuilder(spec)
         registry_machine = builder.build_machine()
-        direct_machine = ManycoreSoc(small_config(NIDesign.EDGE))
+        direct_machine = ManycoreSoc(small_config("edge"))
         assert registry_machine.config.fingerprint() == direct_machine.config.fingerprint()
         via_registry = builder.build_workload().run_on(registry_machine)
         direct = UniformRandomReadWorkload(
@@ -350,7 +366,7 @@ class TestRegistryManifest:
     MANIFEST = os.path.join(os.path.dirname(__file__), "data", "registry_manifest.json")
 
     def test_inventory_matches_checked_in_manifest(self):
-        from repro.experiments.registry import list_experiments
+        from repro.experiments.registry import list_specs
 
         with open(self.MANIFEST, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -361,7 +377,7 @@ class TestRegistryManifest:
             "arrivals": ARRIVALS.names(),
             "faults": FAULT_MODELS.names(),
             "lint_rules": LINT_RULES.names(),
-            "experiments": list_experiments(),
+            "experiments": list_specs(),
         }
         assert actual == {key: manifest[key] for key in actual}, (
             "component inventory drifted from tests/data/registry_manifest.json; "
