@@ -93,7 +93,7 @@ def test_bench_packet_injection():
         "peak_pending_events": session.peak_pending_events,
         "fused_hops": session.fused_hops,
         "fast_events": session.fast_events,
-        "route_cache_entries": len(fabric._bound_routes),
+        "route_cache_entries": len(fabric._programs),
     })
     print("\npacket injection: %.0f packets/s, %.0f events/s (%d packets in %.3f s)"
           % (session.packets_per_s, session.events_per_s, session.packets, session.wall_s))

@@ -1,13 +1,45 @@
-"""Packet-granularity NOC contention model.
+"""Packet-granularity NOC contention model over compiled hop programs.
 
-Every directed link of the topology is backed by a FIFO
-:class:`~repro.sim.resource.Channel`; a packet occupies each link it crosses
-for its flit count (one flit per cycle on the 16-byte links of Table 2).  The
-head of the packet advances one hop per ``hop_cycles`` after it is granted a
-link, and the tail arrives ``flits - 1`` cycles after the head at the final
-hop, so the zero-load latency is ``hops * hop_cycles + (flits - 1)`` and
-contended links introduce queuing exactly where the paper observes it (the MC
-and NI edge columns, the mesh bisection, the per-tile unroll paths).
+Every directed link of the topology is a FIFO-serialized link; a packet
+occupies each link it crosses for its flit count (one flit per cycle on the
+16-byte links of Table 2).  The head of the packet advances one hop per
+``hop_cycles`` after it is granted a link, and the tail arrives ``flits - 1``
+cycles after the head at the final hop, so the zero-load latency is
+``hops * hop_cycles + (flits - 1)`` and contended links introduce queuing
+exactly where the paper observes it (the MC and NI edge columns, the mesh
+bisection, the per-tile unroll paths).
+
+Hop programs
+------------
+
+Routes are compiled, not bound.  A route becomes a *hop program*: a tuple of
+``(link_id, hop_cycles, crosses_bisection, link_key)`` hops, where
+``link_id`` is a dense index into the fabric's per-link state lists
+(free-at time, busy cycles, open grants, stats-since time) and ``link_key``
+rides along so fault models can target routers without topology lookups.
+The hot path walks a program with a minimal loop over those lists.
+
+Programs are compiled once per process for each immutable geometry
+signature (:meth:`~repro.noc.topology.Topology.geometry_key`, e.g.
+``("mesh", side, hop_cycles, routing)``), one program per route cache key, so
+a sweep that builds a fresh SoC per data point compiles its routes once.
+The invariants that make sharing safe:
+
+* A geometry signature must cover everything routing depends on: two
+  topologies with equal signatures must return identical routes, route
+  keys and bisection links for every input.  A topology whose
+  ``geometry_key()`` is None gets a per-fabric geometry on the same code
+  path; a topology whose ``route_cache_key`` is None compiles a program per
+  packet.
+* Compiled programs and link ids are shared; link *state* never is.  Each
+  fabric owns its state lists, and its statistics list links in the order
+  this fabric first used them.
+* :meth:`NocFabric.clear_route_cache` drops the fabric's programs and the
+  topology's memoized routes, then re-reads the geometry signature, so a
+  routing change is picked up on the next send.  Link state survives it.
+* Compilation changes the cost of an event, never the events: event, fused
+  hop, fast-event and peak-pending counts are identical to routing every
+  packet afresh.
 
 Lookahead hop fusion
 --------------------
@@ -17,11 +49,11 @@ link crossed.  The fused walk exploits the discrete-event lookahead: while a
 packet's arrival at its next router falls *strictly before* the simulator's
 queue head (:meth:`~repro.sim.engine.Simulator.next_event_time`), no other
 event can execute in between, so nothing can acquire, observe or reroute
-ahead of the packet — the walk may acquire the next link immediately with
-``Resource.acquire(occupancy, earliest=arrival)`` and keep going.  At low
-load (exactly where the paper's latency figures live) this collapses a whole
-k-hop route into a single delivery event; under contention the condition
-fails and the walk degrades to the per-hop event chain, event for event.
+ahead of the packet — the walk may acquire the next link immediately at its
+arrival time and keep going.  At low load (exactly where the paper's latency
+figures live) this collapses a whole k-hop route into a single delivery
+event; under contention the condition fails and the walk degrades to the
+per-hop event chain, event for event.
 
 Two details keep fused runs byte-identical to unfused ones:
 
@@ -29,7 +61,7 @@ Two details keep fused runs byte-identical to unfused ones:
   ``_hop`` continuation).  ``send`` itself still acquires the first link
   synchronously and schedules the continuation: code running later in the
   same callback (e.g. an unroll loop injecting sibling packets at the same
-  cycle) may acquire the very channels a fused walk would have pre-acquired
+  cycle) may acquire the very links a fused walk would have pre-acquired
   at later virtual times, which would reorder FIFO grants.
 * Ties fall back: when the next arrival lands exactly on the queue-head
   time, the head event was scheduled first and must execute first, so the
@@ -58,24 +90,27 @@ chain would observe, hop for hop.
 
 from __future__ import annotations
 
+import itertools
 import os
 
+from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.config import MessageClass, NocConfig
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, flit_count
 from repro.noc.topology import Link, Topology
 from repro.sim import perf
 from repro.sim.engine import Simulator
-from repro.sim.resource import Channel
 
 DeliveryCallback = Callable[[Packet], None]
 
-#: One channel-bound hop: (channel, hop_cycles, crosses_bisection, link_key).
-#: The link key rides along so fault models can target specific routers
-#: without any topology lookups on the hot path.
-BoundHop = Tuple[Channel, int, bool, Tuple[Hashable, Hashable]]
+LinkKey = Tuple[Hashable, Hashable]
+#: One compiled hop: (link_id, hop_cycles, crosses_bisection, link_key).
+Hop = Tuple[int, int, bool, LinkKey]
+HopProgram = Tuple[Hop, ...]
+
+_NEG_INF = float("-inf")
 
 
 def hop_fusion_default() -> bool:
@@ -88,6 +123,55 @@ def hop_fusion_default() -> bool:
     return os.environ.get("REPRO_HOP_FUSION", "1").strip().lower() not in (
         "0", "off", "false", "no",
     )
+
+
+#: Process-wide dense link ids: link key -> id, and id -> link key.  Ids
+#: are shared by every geometry, so a fabric's per-link state stays valid
+#: when it switches geometry (see NocFabric.clear_route_cache).
+_LINK_IDS: Dict[LinkKey, int] = {}
+_LINK_KEYS: List[LinkKey] = []
+
+
+class _Geometry:
+    """The compiled form of one routing geometry: route key -> hop program."""
+
+    __slots__ = ("programs", "_hops", "_bisection")
+
+    def __init__(self, topology: Topology) -> None:
+        self.programs: Dict[Hashable, HopProgram] = {}
+        # (link key, hop cycles) -> the one shared hop tuple for that link.
+        self._hops: Dict[Tuple[LinkKey, int], Hop] = {}
+        bisection = getattr(topology, "bisection_links", None)
+        self._bisection = frozenset(bisection()) if bisection is not None else frozenset()
+
+    def compile(self, links: Sequence[Link]) -> HopProgram:
+        program = []
+        for link in links:
+            key = link.key
+            hop = self._hops.get((key, link.hop_cycles))
+            if hop is None:
+                link_id = _LINK_IDS.get(key)
+                if link_id is None:
+                    link_id = _LINK_IDS[key] = len(_LINK_KEYS)
+                    _LINK_KEYS.append(key)
+                hop = (link_id, link.hop_cycles, key in self._bisection, key)
+                self._hops[(key, link.hop_cycles)] = hop
+            program.append(hop)
+        return tuple(program)
+
+
+#: Process-wide compiled geometries, by geometry signature.
+_GEOMETRIES: Dict[Hashable, _Geometry] = {}
+
+
+def _geometry_for(topology: Topology) -> _Geometry:
+    key = topology.geometry_key()
+    if key is None:
+        return _Geometry(topology)
+    geometry = _GEOMETRIES.get(key)
+    if geometry is None:
+        geometry = _GEOMETRIES[key] = _Geometry(topology)
+    return geometry
 
 
 class NocFabric:
@@ -104,28 +188,48 @@ class NocFabric:
         self.config = noc_config
         self.hop_fusion = hop_fusion_default() if hop_fusion is None else bool(hop_fusion)
         self.link_bytes = noc_config.link_bytes
-        self._channels: Dict[Tuple[Hashable, Hashable], Channel] = {}
         #: Fault state installed by a FaultInjector (None on healthy runs).
         self.faults = None
-        # Channel-bound route cache: route_cache_key -> tuple of
-        # (channel, hop_cycles, crosses_bisection, link_key) hops, so the
-        # per-hop fast path does no topology or channel-dict lookups.
-        self._bound_routes: Dict[Hashable, Tuple[BoundHop, ...]] = {}
+        # The kernel objects the hot path touches on every hop (the heap
+        # list and the seq counter are never rebound by the simulator), and
+        # bound methods created once instead of per scheduled event.
+        self._queue = sim._queue
+        self._seq = sim._seq
+        self._hop_event = self._hop
+        self._deliver_event = self._deliver
+        self._packet_ids = itertools.count()
+        # Per-link state, indexed by the process-wide dense link ids; a
+        # link's open-grant deque is None until this fabric first uses it.
+        self._free_at: List[float] = []
+        self._busy: List[float] = []
+        self._open: List[Optional[Deque[Tuple[float, float]]]] = []
+        self._since: List[float] = []
+        #: Link ids in the order this fabric first used them.
+        self._link_order: List[int] = []
+        self._bind_geometry()
         # payload_bytes -> (flits, wire_bytes); the handful of distinct
         # payload sizes an experiment sends makes this a near-perfect cache.
         self._flit_sizes: Dict[int, Tuple[int, int]] = {}
         # Statistics
-        self.packets_sent = 0
         #: Hop events elided by lookahead fusion since the last stats reset
         #: (lifetime counts live in the perf record, see lifetime_fused_hops).
         self.fused_hops = 0
         self.packets_delivered = 0
         self.payload_bytes_delivered = 0
-        self.wire_bytes_sent = 0
         self.bytes_by_class: Dict[MessageClass, int] = {cls: 0 for cls in MessageClass}
-        self._bisection_keys = self._compute_bisection_keys()
         self.bisection_bytes = 0
         self._perf = perf.register_fabric(self)
+        self._packets_at_reset = 0
+
+    @property
+    def packets_sent(self) -> int:
+        """Packets injected since the last :meth:`reset_stats`."""
+        return self._perf.packets - self._packets_at_reset
+
+    @property
+    def wire_bytes_sent(self) -> int:
+        """Wire bytes (header + padding included) injected since the last reset."""
+        return sum(self.bytes_by_class.values())
 
     @property
     def lifetime_packets_sent(self) -> int:
@@ -160,7 +264,7 @@ class NocFabric:
         instead of behind a one-hop continuation event, collapsing an
         uncontended k-hop route into a single delivery event.  Passing
         ``tail=True`` from a callback that does more work afterwards can
-        reorder FIFO channel grants and breaks run-to-run equivalence —
+        reorder FIFO link grants and breaks run-to-run equivalence —
         leave it False when in doubt (the default is always safe).  One more
         caveat: a tail send issued *between* ``run()`` calls fuses without a
         horizon bound, so link statistics sampled at the next ``run(until)``
@@ -168,25 +272,20 @@ class NocFabric:
         """
         sim = self.sim
         now = sim._now
-        packet = Packet(
-            src=src,
-            dst=dst,
-            payload_bytes=payload_bytes,
-            msg_class=msg_class,
-            payload=payload,
-            created_at=now,
-        )
-        self.packets_sent += 1
+        packet_id = next(self._packet_ids)
+        packet = Packet(src, dst, payload_bytes, msg_class, payload, packet_id, now)
         self._perf.packets += 1
         size = self._flit_sizes.get(payload_bytes)
         if size is None:
-            flits = packet.flits(self.link_bytes)
+            flits = flit_count(payload_bytes, self.link_bytes)
             size = self._flit_sizes[payload_bytes] = (flits, flits * self.link_bytes)
         flits, wire = size
-        self.wire_bytes_sent += wire
         self.bytes_by_class[msg_class] += wire
         if src != dst:
-            hops = self._bound_route(src, dst, msg_class, packet.packet_id)
+            key = self._route_key(src, dst, msg_class, packet_id)
+            hops = self._programs.get(key) if key is not None else None
+            if hops is None:
+                hops = self._program(src, dst, msg_class, packet_id, key)
             if tail and hops and self.hop_fusion:
                 # Tail-send contract: nothing runs after us at this
                 # timestep, so the whole walk (hop 0 included — acquiring at
@@ -196,29 +295,27 @@ class NocFabric:
             if hops:
                 # The first link is acquired synchronously, in injection
                 # order — several sends in one callback must claim their
-                # first channels FIFO exactly as before fusion existed.  The
+                # first links FIFO exactly as before fusion existed.  The
                 # rest of the walk runs as a scheduled event, where the fused
                 # fast path is safe (see module docstring).
-                channel, hop_cycles, crosses_bisection, link_key = hops[0]
+                link, hop_cycles, crosses_bisection, link_key = hops[0]
                 earliest = now
                 faults = self.faults
                 if faults is not None:
                     extra = faults.hop_delay(link_key, now, hop_cycles)
                     if extra > 0.0:
                         earliest = now + extra
-                # Inlined Channel.acquire(flits) — see the matching block in
-                # _hop.
-                start = channel._free_at
+                # One link acquisition — see the matching block in _hop.
+                free_at = self._free_at
+                start = free_at[link]
                 if earliest > start:
                     start = earliest
-                channel._free_at = start + flits
-                channel.busy_cycles += flits
-                channel.grants += 1
-                open_grants = channel._open_grants
+                free_at[link] = start + flits
+                self._busy[link] += flits
+                open_grants = self._open[link]
                 while open_grants and open_grants[0][1] <= now:
                     open_grants.popleft()
                 open_grants.append((start, start + flits))
-                channel.bytes_transferred += wire
                 if crosses_bisection:
                     self.bisection_bytes += wire
                 arrival = start + hop_cycles
@@ -230,21 +327,20 @@ class NocFabric:
                 if len(hops) == 1:
                     delta = arrival + flits - 1 - now
                     if faults is not None:
-                        loss = faults.loss_delay(packet.packet_id)
+                        loss = faults.loss_delay(packet_id)
                         if loss > 0.0:
                             delta += loss
-                    entry = (now + delta, next(sim._seq),
-                             self._deliver, (packet, callback))
+                    entry = (now + delta, next(self._seq),
+                             self._deliver_event, (packet, callback))
                 else:
-                    entry = (now + (arrival - now), next(sim._seq), self._hop,
+                    entry = (now + (arrival - now), next(self._seq), self._hop_event,
                              (packet, hops, 1, flits, wire, callback))
-                queue = sim._queue
+                queue = self._queue
                 heappush(queue, entry)
-                sim._perf.fast_events += 1
                 if len(queue) > sim._peak_pending:
                     sim._peak_pending = len(queue)
                 return packet
-        sim.schedule_fast(self.LOCAL_DELIVERY_CYCLES, self._deliver, packet, callback)
+        sim.schedule_fast(self.LOCAL_DELIVERY_CYCLES, self._deliver_event, packet, callback)
         return packet
 
     def zero_load_latency(self, src: Hashable, dst: Hashable, payload_bytes: int,
@@ -256,8 +352,7 @@ class NocFabric:
         if not links:
             return float(self.LOCAL_DELIVERY_CYCLES)
         head = sum(link.hop_cycles for link in links)
-        flits = Packet(src, dst, payload_bytes, msg_class).flits(self.link_bytes)
-        return head + (flits - 1)
+        return head + (flit_count(payload_bytes, self.link_bytes) - 1)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -276,75 +371,103 @@ class NocFabric:
             return 0.0
         return self.bisection_bytes / elapsed * frequency_ghz
 
-    def link_utilization(self) -> Dict[Tuple[Hashable, Hashable], float]:
+    def link_busy_cycles(self) -> Dict[LinkKey, float]:
+        """Busy cycles since the last reset of every link this fabric has used.
+
+        A snapshot dict in first-use order (a link counts as used once a
+        route through it has been compiled for a send).
+        """
+        busy = self._busy
+        return {_LINK_KEYS[link]: busy[link] for link in self._link_order}
+
+    def link_utilization(self) -> Dict[LinkKey, float]:
         """Utilization of every link that has carried at least one packet."""
-        return {key: channel.utilization() for key, channel in self._channels.items()}
+        return {_LINK_KEYS[link]: self._utilization(link) for link in self._link_order}
 
     def max_link_utilization(self) -> float:
         """Utilization of the most loaded link (the NOC bottleneck)."""
-        if not self._channels:
+        if not self._link_order:
             return 0.0
-        return max(channel.utilization() for channel in self._channels.values())
+        return max(self._utilization(link) for link in self._link_order)
 
     def clear_route_cache(self) -> None:
-        """Drop the channel-bound routes and the topology's memoized routes.
+        """Drop the fabric's hop programs and the topology's memoized routes.
 
         Anything that mutates routing-relevant topology state must call this
         (not just ``topology.clear_route_cache()``): the fabric never consults
-        the topology again for a key it has already bound.
+        the topology again for a key it already has a program for.  The
+        geometry signature is read again, so the next send compiles against
+        the mutated routing; per-link state is kept.
         """
-        self._bound_routes.clear()
         self.topology.clear_route_cache()
+        self._bind_geometry()
 
     def reset_stats(self) -> None:
-        """Zero all counters (used at the end of the warm-up phase)."""
-        self.packets_sent = 0
+        """Zero all counters (used at the end of the warm-up phase).
+
+        Grants still in flight are not dropped: the portion of each link's
+        occupancy that falls after the reset is credited to the new window.
+        """
+        self._packets_at_reset = self._perf.packets
         self.fused_hops = 0
         self.packets_delivered = 0
         self.payload_bytes_delivered = 0
-        self.wire_bytes_sent = 0
         self.bisection_bytes = 0
         self.bytes_by_class = {cls: 0 for cls in MessageClass}
-        for channel in self._channels.values():
-            channel.reset_stats()
+        now = self.sim._now
+        for link in self._link_order:
+            open_grants = self._open[link]
+            while open_grants and open_grants[0][1] <= now:
+                open_grants.popleft()
+            self._busy[link] = sum(end - max(start, now) for start, end in open_grants)
+            self._since[link] = now
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _channel(self, link: Link) -> Channel:
-        channel = self._channels.get(link.key)
-        if channel is None:
-            channel = Channel(self.sim, bytes_per_cycle=self.link_bytes,
-                              name="link %r->%r" % (link.src, link.dst))
-            self._channels[link.key] = channel
-        return channel
+    def _bind_geometry(self) -> None:
+        self._geometry = _geometry_for(self.topology)
+        self._route_key = self.topology.route_cache_key
+        #: This fabric's view of the geometry's programs (route key ->
+        #: program), holding only programs whose links it has adopted.
+        self._programs: Dict[Hashable, HopProgram] = {}
 
-    def _bind_links(self, links: Sequence[Link]) -> Tuple[BoundHop, ...]:
-        """Resolve each link of a route to its channel once."""
-        return tuple(
-            (self._channel(link), link.hop_cycles,
-             link.key in self._bisection_keys, link.key)
-            for link in links
-        )
+    def _program(self, src: Hashable, dst: Hashable, msg_class: MessageClass,
+                 packet_id: int, key: Optional[Hashable]) -> HopProgram:
+        """Look up or compile the hop program of a route and adopt its links.
 
-    def _bound_route(
-        self, src: Hashable, dst: Hashable, msg_class: MessageClass, packet_id: int
-    ) -> Tuple[BoundHop, ...]:
-        """The channel-bound route for a packet, cached when the topology allows.
-
-        Uncacheable routes (topologies without a :meth:`Topology.route_cache_key`)
-        fall back to binding per packet, which matches the pre-cache behaviour.
+        Uncacheable routes (``key`` None) compile per packet.
         """
-        key = self.topology.route_cache_key(src, dst, msg_class, packet_id)
+        geometry = self._geometry
         if key is None:
-            return self._bind_links(self.topology.route(src, dst, msg_class, packet_id))
-        bound = self._bound_routes.get(key)
-        if bound is None:
-            bound = self._bind_links(self.topology.route_cached(src, dst, msg_class, packet_id))
-            self._bound_routes[key] = bound
-        return bound
+            program = geometry.compile(self.topology.route(src, dst, msg_class, packet_id))
+        else:
+            program = geometry.programs.get(key)
+            if program is None:
+                program = geometry.compile(self.topology.route(src, dst, msg_class, packet_id))
+                geometry.programs[key] = program
+            self._programs[key] = program
+        # Cover every compiled link id, then adopt the program's links.
+        missing = len(_LINK_KEYS) - len(self._open)
+        if missing > 0:
+            self._free_at.extend([0.0] * missing)
+            self._busy.extend([0.0] * missing)
+            self._open.extend([None] * missing)
+            self._since.extend([0.0] * missing)
+        opens = self._open
+        for link, _hop_cycles, _crosses, _key in program:
+            if opens[link] is None:
+                opens[link] = deque()
+                self._link_order.append(link)
+        return program
 
-    def _hop(self, packet: Packet, hops: Sequence[BoundHop], index: int,
+    def _utilization(self, link: int) -> float:
+        horizon = self.sim._now - self._since[link]
+        if horizon <= 0:
+            return 0.0
+        return min(1.0, self._busy[link] / horizon)
+
+    def _hop(self, packet: Packet, hops: HopProgram, index: int,
              flits: int, wire: int, callback: Optional[DeliveryCallback]) -> None:
         """Walk the remaining hops, fusing as far as the lookahead allows.
 
@@ -361,7 +484,7 @@ class NocFabric:
         before.
         """
         sim = self.sim
-        nhops = len(hops)
+        queue = self._queue
         # The lookahead bound: fuse while the next arrival < head.  The walk
         # itself only pushes events at/after the current arrival, so the
         # bound stays valid without re-peeking.  The active run(until=...)
@@ -369,36 +492,45 @@ class NocFabric:
         # may sample link statistics that the per-hop chain would not yet
         # have accumulated — hops at/after the horizon must stay events.
         if self.hop_fusion:
-            head = sim.next_event_time()
-            horizon = sim._run_horizon
-            if head is None or head > horizon:
-                head = horizon
+            head = sim._run_horizon
+            if queue:
+                # Inlined next_event_time(): a cancelled head entry falls
+                # back to the kernel, which purges it exactly as before.
+                first = queue[0]
+                if len(first) == 3 and first[2].cancelled:
+                    peek = sim.next_event_time()
+                    if peek is not None and peek < head:
+                        head = peek
+                elif first[0] < head:
+                    head = first[0]
         else:
-            head = float("-inf")
+            head = _NEG_INF
         now = sim._now
         arrival = now
         fused = 0
         faults = self.faults
+        free_at = self._free_at
+        busy = self._busy
+        opens = self._open
+        nhops = len(hops)
         while True:
-            channel, hop_cycles, crosses_bisection, link_key = hops[index]
+            link, hop_cycles, crosses_bisection, link_key = hops[index]
             if faults is not None:
                 extra = faults.hop_delay(link_key, arrival, hop_cycles)
                 if extra > 0.0:
                     arrival = arrival + extra
-            # Inlined Channel.acquire(flits, earliest=arrival) — one call per
-            # hop is the hottest path in the whole simulator; keep in sync
-            # with repro.sim.resource.Resource.acquire.
-            start = channel._free_at
+            # One link acquisition (FIFO: the grant starts when both the
+            # head has arrived and the link is free) — the hottest path in
+            # the whole simulator.
+            start = free_at[link]
             if arrival > start:
                 start = arrival
-            channel._free_at = start + flits
-            channel.busy_cycles += flits
-            channel.grants += 1
-            open_grants = channel._open_grants
+            free_at[link] = start + flits
+            busy[link] += flits
+            open_grants = opens[link]
             while open_grants and open_grants[0][1] <= now:
                 open_grants.popleft()
             open_grants.append((start, start + flits))
-            channel.bytes_transferred += wire
             if crosses_bisection:
                 self.bisection_bytes += wire
             arrival = start + hop_cycles
@@ -413,33 +545,25 @@ class NocFabric:
                     loss = faults.loss_delay(packet.packet_id)
                     if loss > 0.0:
                         delta += loss
-                entry = (now + delta, next(sim._seq),
-                         self._deliver, (packet, callback))
+                entry = (now + delta, next(self._seq),
+                         self._deliver_event, (packet, callback))
                 break
             if arrival < head:
                 fused += 1
                 continue
-            entry = (now + (arrival - now), next(sim._seq), self._hop,
+            entry = (now + (arrival - now), next(self._seq), self._hop_event,
                      (packet, hops, index, flits, wire, callback))
             break
         if fused:
             self.fused_hops += fused
             self._perf.fused_hops += fused
-        queue = sim._queue
         heappush(queue, entry)
-        sim._perf.fast_events += 1
         if len(queue) > sim._peak_pending:
             sim._peak_pending = len(queue)
 
     def _deliver(self, packet: Packet, callback: Optional[DeliveryCallback]) -> None:
-        packet.delivered_at = self.sim.now
+        packet.delivered_at = self.sim._now
         self.packets_delivered += 1
         self.payload_bytes_delivered += packet.payload_bytes
         if callback is not None:
             callback(packet)
-
-    def _compute_bisection_keys(self) -> set:
-        bisection = getattr(self.topology, "bisection_links", None)
-        if bisection is None:
-            return set()
-        return set(bisection())

@@ -82,6 +82,10 @@ class MeshTopology(Topology):
             return (src, dst, directions[msg_class])
         return (src, dst, o1turn_orientation(src, dst, packet_id))
 
+    def geometry_key(self) -> Hashable:
+        """Routes depend on the side, the hop latency and the algorithm only."""
+        return ("mesh", self.side, self.hop_cycles, self.config.routing)
+
     def hop_count(self, src: Coord, dst: Coord) -> int:
         self._check(src)
         self._check(dst)

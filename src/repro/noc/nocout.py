@@ -115,6 +115,10 @@ class NocOutTopology(Topology):
         """NOC-Out routes depend only on the endpoints (no class routing)."""
         return (src, dst)
 
+    def geometry_key(self) -> Hashable:
+        return ("noc_out", self.columns, self.cores_per_column,
+                self.tree_hop_cycles, self.butterfly_tiles_per_cycle)
+
     def hop_count(self, src: Hashable, dst: Hashable) -> int:
         return len(self.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
 

@@ -11,10 +11,10 @@ Policies
 * **YX** — dimension-order, Y first.
 * **O1Turn** — each packet picks XY or YX (here: by a deterministic hash of
   ``(src, dst, packet_id)``), which balances the two dimension orders
-  [Seo et al.].  Hashing instead of packet-id parity matters because the
-  packet-id counter is global: workloads that interleave two traffic classes
-  hand each class packet ids of a single parity, which would pin every packet
-  of a class to the same orientation.
+  [Seo et al.].  Hashing instead of packet-id parity matters because one
+  fabric's packet-id counter serves every traffic class: workloads that
+  interleave two classes hand each class packet ids of a single parity, which
+  would pin every packet of a class to the same orientation.
 * **CDR** — class-based deterministic routing [Abts et al.]: memory requests
   route YX so they spread over the column links before turning into the MC
   column; responses route XY.
@@ -62,7 +62,7 @@ def o1turn_orientation(src: Coord, dst: Coord, packet_id: int) -> str:
     """The dimension order ('xy' or 'yx') an O1Turn packet uses.
 
     A multiply-xorshift mix of ``(src, dst, packet_id)`` rather than plain
-    packet-id parity: the global packet-id counter gives interleaved traffic
+    packet-id parity: a fabric's packet-id counter gives interleaved traffic
     classes ids of a single parity, and Python's ``hash()`` is unsuitable
     because stability across processes is required for cached/uncached route
     equivalence.

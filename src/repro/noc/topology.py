@@ -3,8 +3,8 @@
 A topology exposes a set of router nodes (hashable identifiers), a routing
 function that returns the ordered list of directed :class:`Link` objects a
 packet traverses, and the per-hop latency of each link.  The contention model
-(:class:`~repro.noc.fabric.NocFabric`) attaches a bandwidth-limited channel
-to every link returned here.
+(:class:`~repro.noc.fabric.NocFabric`) compiles those routes into hop
+programs and keeps one bandwidth-limited link state per link returned here.
 """
 
 from __future__ import annotations
@@ -55,8 +55,19 @@ class Topology(abc.ABC):
 
         Two calls with equal keys MUST produce identical routes; topologies
         whose routing is deterministic in ``(src, dst, class direction)``
-        override this so :meth:`route_cached` (and the fabric's channel-bound
-        fast path) can reuse computed routes.
+        override this so :meth:`route_cached` (and the fabric's compiled hop
+        programs) can reuse computed routes.
+        """
+        return None
+
+    def geometry_key(self) -> Optional[Hashable]:
+        """Immutable signature of everything routing depends on, or None.
+
+        Fabrics whose topologies return equal signatures share one set of
+        compiled hop programs for the whole process, so the key must cover
+        every input of :meth:`route`, :meth:`route_cache_key` and
+        ``bisection_links`` besides the call arguments.  None (the default)
+        compiles programs per fabric instead.
         """
         return None
 
@@ -82,7 +93,7 @@ class Topology(abc.ABC):
         """Drop every memoized route (tests and topology-mutation hooks).
 
         A :class:`~repro.noc.fabric.NocFabric` built on this topology keeps
-        its own channel-bound route cache; invalidate through
+        its own hop programs; invalidate through
         ``NocFabric.clear_route_cache()``, which clears both.
         """
         self.__dict__.pop("_route_cache", None)

@@ -27,11 +27,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
 from repro.sim import perf
+
+
+def _issued(counter: "itertools.count[int]") -> int:
+    """Values an ``itertools.count()`` has handed out (its repr is ``count(n)``)."""
+    return int(repr(counter)[6:-1])
+
 
 #: Cancelled events are purged lazily; once at least this many are pending
 #: AND they make up half the heap, the heap is compacted in one pass.
@@ -98,6 +105,7 @@ class Simulator:
         "_cancelled_events",
         "_peak_pending",
         "_run_horizon",
+        "_cancellable",
         "_perf",
         "_obs_index",
     )
@@ -118,6 +126,9 @@ class Simulator:
         #: sample statistics that the unfused event chain would not yet have
         #: accumulated.
         self._run_horizon = float("inf")
+        #: Events scheduled through the cancellable :meth:`schedule` /
+        #: :meth:`schedule_at`; every other ``seq`` went to a fast entry.
+        self._cancellable = 0
         self._perf = perf.register_simulator(self)
         #: Deterministic per-run index handed out by the active obs session
         #: (``None`` when observability is disabled — the common case; the
@@ -161,6 +172,7 @@ class Simulator:
             raise SimulationError("cannot schedule an event %.3f cycles in the past" % delay)
         time = self._now + delay
         seq = next(self._seq)
+        self._cancellable += 1
         event = Event(time, seq, callback, args)
         queue = self._queue
         heapq.heappush(queue, (time, seq, event))
@@ -175,13 +187,14 @@ class Simulator:
         hops and deliveries, resource completions, process steps, arrival
         clocks.  Ordering is identical to :meth:`schedule` (same time/seq
         discipline, same counter), but no handle is returned, so the event
-        cannot be cancelled.
+        cannot be cancelled.  The perf record's ``fast_events`` count is not
+        bumped here: :meth:`run` and :meth:`step` settle it from the ``seq``
+        counter (see :meth:`_settle_fast_events`).
         """
         if delay < 0:
             raise SimulationError("cannot schedule an event %.3f cycles in the past" % delay)
         queue = self._queue
-        heapq.heappush(queue, (self._now + delay, next(self._seq), callback, args))
-        self._perf.fast_events += 1
+        heappush(queue, (self._now + delay, next(self._seq), callback, args))
         if len(queue) > self._peak_pending:
             self._peak_pending = len(queue)
 
@@ -192,6 +205,7 @@ class Simulator:
                 "cannot schedule an event at t=%.3f, current time is %.3f" % (time, self._now)
             )
         seq = next(self._seq)
+        self._cancellable += 1
         event = Event(time, seq, callback, args)
         queue = self._queue
         heapq.heappush(queue, (time, seq, event))
@@ -275,8 +289,12 @@ class Simulator:
             self._perf.events += 1
             if self._peak_pending > self._perf.peak_pending:
                 self._perf.peak_pending = self._peak_pending
-            callback(*args)
+            try:
+                callback(*args)
+            finally:
+                self._settle_fast_events()
             return True
+        self._settle_fast_events()
         return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -293,26 +311,23 @@ class Simulator:
         self._run_horizon = horizon
         try:
             while queue and not self._stop_requested:
-                entry = queue[0]
+                entry = pop(queue)
                 if len(entry) == 4:
-                    callback, args = entry[2], entry[3]
+                    head_time, _seq, callback, args = entry
                 else:
-                    event = entry[2]
+                    head_time, _seq, event = entry
                     if event.cancelled:
-                        pop(queue)
                         self._cancelled_events.discard(event)
                         continue
                     callback, args = event.callback, event.args
-                head_time = entry[0]
-                if head_time > horizon:
-                    # Clamp: a horizon already in the past must not move the
-                    # clock backwards.
-                    if until > self._now:
+                if head_time > horizon or executed >= limit:
+                    # Not ours to run: put it back (seq keys are unique, so
+                    # the heap's pop order is unchanged).  Clamp: a horizon
+                    # already in the past must not move the clock backwards.
+                    heappush(queue, entry)
+                    if head_time > horizon and until > self._now:
                         self._now = until
                     break
-                if executed >= limit:
-                    break
-                pop(queue)
                 self._now = head_time
                 executed += 1
                 callback(*args)
@@ -324,11 +339,21 @@ class Simulator:
             self._perf.events += executed
             if self._peak_pending > self._perf.peak_pending:
                 self._perf.peak_pending = self._peak_pending
+            self._settle_fast_events()
         if until is not None and not queue and self._now < until:
             # The model went idle before the horizon; advance the clock so
             # rate computations over [0, until] stay meaningful.
             self._now = until
         return self._now
+
+    def _settle_fast_events(self) -> None:
+        """Set the perf record's fast-event count from the ``seq`` counter.
+
+        Every schedule takes one ``seq``; the ones not taken by the
+        cancellable :meth:`schedule`/:meth:`schedule_at` went to fast
+        entries (:meth:`schedule_fast` and the fabric's inlined pushes).
+        """
+        self._perf.fast_events = _issued(self._seq) - self._cancellable
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""

@@ -372,8 +372,7 @@ class RemoteReadBandwidthBenchmark:
                 rrpp = soc.ni.total_rrpp_payload_bytes() - rrpp_base
                 window_marks.append((rcp, rrpp, soc.fabric.wire_bytes_sent))
                 busy_marks.append((
-                    {key: channel.busy_cycles
-                     for key, channel in soc.fabric._channels.items()},
+                    soc.fabric.link_busy_cycles(),
                     [bank.busy_cycles for bank in soc.llc_banks],
                 ))
                 previous = window_marks[-2][0] + window_marks[-2][1] if len(window_marks) > 1 else 0
@@ -391,15 +390,15 @@ class RemoteReadBandwidthBenchmark:
             rrpp_bytes = window_marks[-1][1] - window_base[1]
             wire_bytes = window_marks[-1][2] - window_base[2]
             elapsed = 2 * monitor.window_cycles
-            # Utilizations over the same two windows (channels created after
+            # Utilizations over the same two windows (links first used after
             # the base snapshot fall back to zero prior busy cycles).
             link_base, bank_base = (
                 busy_marks[-3] if len(busy_marks) >= 3 else ({}, [0.0] * len(soc.llc_banks))
             )
             max_link_utilization = max(
                 (
-                    (channel.busy_cycles - link_base.get(key, 0.0)) / elapsed
-                    for key, channel in soc.fabric._channels.items()
+                    (busy - link_base.get(key, 0.0)) / elapsed
+                    for key, busy in soc.fabric.link_busy_cycles().items()
                 ),
                 default=0.0,
             )

@@ -218,6 +218,21 @@ class TestSimulatedExperiments:
         )
         assert result.column("Routing") == ["xy"]
 
+    def test_routing_ablation_o1turn_rows_repeat_in_one_process(self):
+        # O1Turn picks each packet's orientation from its packet id; ids
+        # come from each fabric's own counter, so a rerun in the same
+        # process must not see the ids an earlier run consumed.
+        def run():
+            return run_routing_ablation(
+                config=small_config(),
+                transfer_bytes=512,
+                policies=("o1turn",),
+                warmup_cycles=500,
+                measure_cycles=1500,
+            ).rows
+
+        assert run() == run()
+
     def test_owned_state_ablation_shows_a_penalty(self):
         result = run_owned_state_ablation(config=small_config(), iterations=2)
         rows = {(row[0], row[1]): row[2] for row in result.rows}

@@ -9,12 +9,10 @@ metrics, chaos_sweep determinism across reruns and parallel campaign
 workers, and the CLI/catalog surfacing.
 """
 
-import itertools
 import json
 
 import pytest
 
-import repro.noc.packet as packet_module
 from repro.analysis import render_fault_profile
 from repro.campaign import Campaign, RunRequest
 from repro.errors import FaultError, RegistryError, ScenarioError, WorkloadError
@@ -43,7 +41,7 @@ def build_scenario(**spec_kwargs):
 
 
 def run_driver(monkeypatch, fusion=True, rate=12.0, seed=1, design="split", **kwargs):
-    """One open-loop run on a fresh machine with pinned packet ids.
+    """One open-loop run on a fresh machine.
 
     ``design`` defaults to split; coherence-fault tests pass ``edge``, the
     only design whose kvstore accesses reach the directory (split/per_tile
@@ -52,7 +50,6 @@ def run_driver(monkeypatch, fusion=True, rate=12.0, seed=1, design="split", **kw
     """
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-        patch.setattr(packet_module, "_packet_ids", itertools.count())
         scenario = build_scenario(design=design)
         kwargs.setdefault("warmup_cycles", 1_000)
         kwargs.setdefault("measure_cycles", 6_000)
@@ -352,7 +349,6 @@ class TestFusedFaultEquivalence:
         for fusion in (True, False):
             with monkeypatch.context() as patch:
                 patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-                patch.setattr(packet_module, "_packet_ids", itertools.count())
                 result = get_spec("chaos_sweep").run(**params)
             result.metadata.wall_time_s = 0.0
             result.metadata.perf = {}
@@ -790,9 +786,7 @@ class TestChaosSweepDeterminism:
     )
 
     def _run(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(packet_module, "_packet_ids", itertools.count())
-            result = get_spec("chaos_sweep").run(**self.PARAMS)
+        result = get_spec("chaos_sweep").run(**self.PARAMS)
         result.metadata.wall_time_s = 0.0
         result.metadata.perf = {}
         return result
@@ -805,9 +799,7 @@ class TestChaosSweepDeterminism:
             json.dumps(second.to_dict(), sort_keys=True)
 
     def test_fault_counters_surface_in_metadata(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(packet_module, "_packet_ids", itertools.count())
-            result = get_spec("chaos_sweep").run(**self.PARAMS)
+        result = get_spec("chaos_sweep").run(**self.PARAMS)
         assert result.metadata.events["fault_windows"] > 0
         assert result.metadata.perf["fault_windows"] > 0
         assert result.metadata.perf["fault_hits"] > 0
@@ -822,9 +814,7 @@ class TestChaosSweepDeterminism:
                 RunRequest("chaos_sweep", dict(request_params, intensities=[1.0])),
             ]
 
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         serial = Campaign(requests()).run()
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         parallel = Campaign(requests(), max_workers=2).run()
         assert serial.succeeded == parallel.succeeded == 2
         for entry_s, entry_p in zip(serial.entries, parallel.entries):
@@ -840,11 +830,9 @@ class TestChaosSweepDeterminism:
 
     def test_cascade_blast_sweep_reruns_byte_identical(self, monkeypatch):
         def run():
-            with monkeypatch.context() as patch:
-                patch.setattr(packet_module, "_packet_ids", itertools.count())
-                result = get_spec("chaos_sweep").run(
-                    fault_params=self.CASCADE_FAULT_PARAMS, **self.PARAMS
-                )
+            result = get_spec("chaos_sweep").run(
+                fault_params=self.CASCADE_FAULT_PARAMS, **self.PARAMS
+            )
             result.metadata.wall_time_s = 0.0
             result.metadata.perf = {}
             return result
@@ -867,9 +855,7 @@ class TestChaosSweepDeterminism:
                 RunRequest("chaos_sweep", dict(request_params, intensities=[1.0])),
             ]
 
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         serial = Campaign(requests()).run()
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         parallel = Campaign(requests(), max_workers=2).run()
         assert serial.succeeded == parallel.succeeded == 2
         for entry_s, entry_p in zip(serial.entries, parallel.entries):
@@ -881,7 +867,6 @@ class TestChaosSweepDeterminism:
                        for note in entry_s.result.notes)
 
     def test_campaign_report_digests_resilience(self, monkeypatch):
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         report = Campaign([
             RunRequest("chaos_sweep", {
                 "loads": [8.0], "intensities": [0.5], "warmup_cycles": 1000.0,

@@ -234,8 +234,8 @@ class TestHopFusion:
         for sim, fabric in ((sim_a, fused), (sim_b, unfused)):
             fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
             sim.run(until=3)
-        busy_a = sum(c.busy_cycles for c in fused._channels.values())
-        busy_b = sum(c.busy_cycles for c in unfused._channels.values())
+        busy_a = sum(fused.link_busy_cycles().values())
+        busy_b = sum(unfused.link_busy_cycles().values())
         assert busy_a == busy_b
         assert fused.bisection_bytes == unfused.bisection_bytes
         assert fused.link_utilization() == unfused.link_utilization()
@@ -259,7 +259,7 @@ class TestHopFusion:
             sim.run()
             results[key] = (
                 fabric.bisection_bytes,
-                sum(c.busy_cycles for c in fabric._channels.values()),
+                sum(fabric.link_busy_cycles().values()),
             )
         assert results["fused"] == results["unfused"]
 

@@ -1,4 +1,4 @@
-"""Tests for the route cache and the fabric's channel-bound fast path.
+"""Tests for the route cache and the fabric's compiled hop programs.
 
 The cache must be a pure memoization: for every routing algorithm, message
 class and node pair, the cached route must be link-for-link identical to a
@@ -151,12 +151,7 @@ class TestFabricFastPath:
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_cached_and_uncached_fabric_behaviour_identical(self, algorithm):
-        import repro.noc.packet as packet_module
-        import itertools
-
-        packet_module._packet_ids = itertools.count()
         cached = self._drive(algorithm, disable_cache=False)
-        packet_module._packet_ids = itertools.count()
         uncached = self._drive(algorithm, disable_cache=True)
         assert cached == uncached
 
@@ -168,7 +163,12 @@ class TestFabricFastPath:
         for _ in range(10):
             fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
             sim.run()
-        assert len(fabric._bound_routes) == 1
+        assert len(fabric._programs) == 1
+        # The program is compiled once per geometry: a second fabric on an
+        # equal topology reuses the very same tuple.
+        other = NocFabric(Simulator(), mesh_with(RoutingAlgorithm.CDR_EXTENDED, 8), config.noc)
+        other.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
+        assert list(other._programs.values())[0] is list(fabric._programs.values())[0]
 
     def test_base_topology_route_cache_key_is_none(self):
         class Custom(Topology):
@@ -189,9 +189,10 @@ class TestRouteCacheInvalidation:
         fabric = NocFabric(sim, topo, config.noc)
         fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
         sim.run()
-        assert fabric._bound_routes and topo.route_cache_size() > 0
+        fabric.zero_load_latency((0, 0), (7, 7), 64)
+        assert fabric._programs and topo.route_cache_size() > 0
         fabric.clear_route_cache()
-        assert not fabric._bound_routes
+        assert not fabric._programs
         assert topo.route_cache_size() == 0
         # The fabric must keep working after invalidation.
         fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)

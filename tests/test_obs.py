@@ -11,12 +11,10 @@ The two contracts under test, straight from the subsystem's charter:
 """
 
 import io
-import itertools
 import json
 
 import pytest
 
-import repro.noc.packet as packet_module
 from repro.campaign import Campaign, RunRequest, expand_grid
 from repro.errors import ExperimentError, ObsError, RegistryError
 from repro.experiments.registry import get_spec
@@ -54,10 +52,6 @@ SWEEP_PARAMS = {"loads": [5.0, 20.0], "warmup_cycles": 1000.0,
 def _session(tmp_path, name="stream.jsonl", **kwargs):
     path = str(tmp_path / name)
     return ObsSession(ObsStream.open(path), **kwargs), path
-
-
-def _reset_packet_ids(patch):
-    patch.setattr(packet_module, "_packet_ids", itertools.count())
 
 
 class TestProbeRegistry:
@@ -335,7 +329,6 @@ class TestSampler:
 class TestDriverIntegration:
     def test_load_sweep_stream_has_expected_probes(self, tmp_path, monkeypatch):
         session, path = _session(tmp_path)
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="load_sweep"):
             get_spec("load_sweep").run(**SWEEP_PARAMS)
         session.close()
@@ -353,7 +346,6 @@ class TestDriverIntegration:
 
     def test_chaos_sweep_streams_fault_windows(self, tmp_path, monkeypatch):
         session, path = _session(tmp_path, probes=["fault_windows"])
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="chaos"):
             get_spec("chaos_sweep").run(
                 faults="router_degrade", loads=(5.0,), intensities=(0.5,),
@@ -366,7 +358,6 @@ class TestDriverIntegration:
     def test_sample_times_follow_cadence(self, tmp_path, monkeypatch):
         session, path = _session(tmp_path, probes=["heap_health"],
                                  sample_cycles=1000.0)
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="r"):
             get_spec("load_sweep").run(loads=[5.0], warmup_cycles=1000.0,
                                        measure_cycles=3000.0)
@@ -379,15 +370,13 @@ class TestObsOffEquivalence:
     """Obs disabled must be byte-identical to obs never having existed."""
 
     def _run(self, monkeypatch, spec_name, obs, tmp_path, **params):
-        with monkeypatch.context() as patch:
-            _reset_packet_ids(patch)
-            if not obs:
+        if not obs:
+            result = get_spec(spec_name).run(**params)
+        else:
+            session, _ = _session(tmp_path, name="eq-%s.jsonl" % spec_name)
+            with session.activate(run=spec_name):
                 result = get_spec(spec_name).run(**params)
-            else:
-                session, _ = _session(tmp_path, name="eq-%s.jsonl" % spec_name)
-                with session.activate(run=spec_name):
-                    result = get_spec(spec_name).run(**params)
-                session.close()
+            session.close()
         result.metadata.wall_time_s = 0.0
         result.metadata.perf = {}
         return result

@@ -1,7 +1,5 @@
 """Tests for the simulation-performance instrumentation and its surfacing."""
 
-import itertools
-
 import pytest
 
 from repro.campaign.report import CampaignEntry, CampaignReport
@@ -197,8 +195,6 @@ class TestExperimentDeterminismWithCache:
         return result
 
     def _run_with_cache_state(self, monkeypatch, disabled, spec_name, **params):
-        import repro.noc.packet as packet_module
-
         if disabled:
             monkeypatch.setattr(
                 MeshTopology, "route_cache_key", lambda self, *a, **k: None
@@ -206,7 +202,6 @@ class TestExperimentDeterminismWithCache:
             monkeypatch.setattr(
                 NocOutTopology, "route_cache_key", lambda self, *a, **k: None
             )
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         return self._strip_timing(get_spec(spec_name).run(**params))
 
     def test_fig6_byte_identical_with_and_without_cache(self, monkeypatch):

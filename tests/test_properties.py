@@ -1,15 +1,22 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MessageClass, NocConfig, RoutingAlgorithm
 from repro.fabric.torus import Torus3D
 from repro.memory.address import AddressMap
+from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
+from repro.noc.packet import flit_count
 from repro.noc.routing import manhattan_distance, mesh_route
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.qp.queues import WorkQueue
+from repro.sim.engine import Simulator
+from repro.sim.resource import Channel
 from repro.sim.stats import StatAccumulator
 from repro.sonuma.unroll import block_count, unroll_blocks
 
@@ -33,6 +40,149 @@ class TestRoutingProperties:
         mesh = MeshTopology(8, NocConfig())
         links = mesh.route(src, dst, msg_class)
         assert len(links) == mesh.hop_count(src, dst)
+
+
+class _PerFabricMesh(MeshTopology):
+    """A mesh without a geometry signature: every fabric compiles its own."""
+
+    def geometry_key(self):
+        return None
+
+
+class _ChannelChain:
+    """Reference NOC: one :class:`Channel` per link, one event per hop.
+
+    The contention model as it was before routes were compiled: each send
+    routes afresh through the topology, and each hop acquires its link's
+    channel in its own event.
+    """
+
+    def __init__(self, sim, topology, link_bytes):
+        self.sim = sim
+        self.topology = topology
+        self.link_bytes = link_bytes
+        self.channels = {}
+        self._packet_ids = itertools.count()
+
+    def send(self, src, dst, nbytes, msg_class, callback):
+        packet_id = next(self._packet_ids)
+        if src == dst:
+            self.sim.schedule_fast(NocFabric.LOCAL_DELIVERY_CYCLES, callback, packet_id)
+            return
+        links = self.topology.route(src, dst, msg_class, packet_id)
+        for link in links:
+            if link.key not in self.channels:
+                self.channels[link.key] = Channel(self.sim, self.link_bytes)
+        self._hop(links, 0, flit_count(nbytes, self.link_bytes), packet_id, callback)
+
+    def _hop(self, links, index, flits, packet_id, callback):
+        now = self.sim.now
+        start = self.channels[links[index].key].acquire(flits, earliest=now)
+        arrival = start + links[index].hop_cycles
+        if index + 1 == len(links):
+            self.sim.schedule_fast(arrival + flits - 1 - now, callback, packet_id)
+        else:
+            self.sim.schedule_fast(arrival - now, self._hop, links, index + 1, flits,
+                                   packet_id, callback)
+
+    def reset_stats(self):
+        for channel in self.channels.values():
+            channel.reset_stats()
+
+    def link_busy_cycles(self):
+        return {key: channel.busy_cycles for key, channel in self.channels.items()}
+
+    def link_utilization(self):
+        return {key: channel.utilization() for key, channel in self.channels.items()}
+
+
+@st.composite
+def noc_traffic(draw):
+    """A mesh side, timed sends on that mesh, and a stats-reset time."""
+    side = draw(st.integers(2, 8))
+    coord = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    sends = draw(st.lists(
+        st.tuples(st.integers(0, 60), coord, coord, st.sampled_from((8, 64, 256)), classes),
+        min_size=1, max_size=25,
+    ))
+    return side, sends, draw(st.integers(0, 80))
+
+
+def _drive_noc(model, sends, reset_at):
+    """Run ``sends`` on ``model`` with a stats reset at ``reset_at``.
+
+    Returns the sorted (packet id, delivery time) pairs and the per-link
+    busy cycles and utilization, in first-use order, at the reset horizon
+    (before resetting) and at the end.
+    """
+    sim = model.sim
+    delivered = []
+    if isinstance(model, NocFabric):
+        def send(src, dst, nbytes, msg_class):
+            model.send(src, dst, nbytes, msg_class,
+                       lambda packet: delivered.append((packet.packet_id, sim.now)))
+    else:
+        def send(src, dst, nbytes, msg_class):
+            model.send(src, dst, nbytes, msg_class,
+                       lambda packet_id: delivered.append((packet_id, sim.now)))
+    for at, src, dst, nbytes, msg_class in sends:
+        sim.schedule_fast(at, send, src, dst, nbytes, msg_class)
+    snapshots = []
+    sim.run(until=reset_at)
+    snapshots.append(list(model.link_busy_cycles().items()))
+    snapshots.append(list(model.link_utilization().items()))
+    model.reset_stats()
+    sim.run()
+    snapshots.append(list(model.link_busy_cycles().items()))
+    snapshots.append(list(model.link_utilization().items()))
+    return sorted(delivered), snapshots
+
+
+def _mesh_config(policy):
+    return dataclasses.replace(NocConfig(), routing=policy)
+
+
+class TestHopProgramProperties:
+    """Compiled hop programs are a pure speed-up of per-hop routing."""
+
+    @given(noc_traffic(), policies, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_programs_match_the_per_hop_channel_chain(self, traffic, policy, fusion):
+        side, sends, reset_at = traffic
+        noc = _mesh_config(policy)
+        runs = {}
+        fabrics = {}
+        for name, topology in (("shared", MeshTopology(side, noc)),
+                               ("own", _PerFabricMesh(side, noc))):
+            fabric = fabrics[name] = NocFabric(Simulator(), topology, noc, hop_fusion=fusion)
+            runs[name] = _drive_noc(fabric, sends, reset_at)
+        reference = _ChannelChain(Simulator(), MeshTopology(side, noc), noc.link_bytes)
+        runs["reference"] = _drive_noc(reference, sends, reset_at)
+        assert len(runs["reference"][0]) == len(sends)
+        assert runs["shared"] == runs["own"] == runs["reference"]
+        assert fabrics["shared"].lifetime_fused_hops == fabrics["own"].lifetime_fused_hops
+        assert fabrics["shared"].fused_hops == fabrics["own"].fused_hops
+        if not fusion:
+            assert fabrics["shared"].lifetime_fused_hops == 0
+
+    @given(noc_traffic(), noc_traffic(), policies)
+    @settings(max_examples=30, deadline=None)
+    def test_fabrics_sharing_a_geometry_keep_their_own_link_state(self, first, second,
+                                                                  policy):
+        side, sends, reset_at = first
+        _side, other_sends, other_reset_at = second
+        other_sends = [(at, (sx % side, sy % side), (dx % side, dy % side), nbytes, cls)
+                       for at, (sx, sy), (dx, dy), nbytes, cls in other_sends]
+        noc = _mesh_config(policy)
+        busy = NocFabric(Simulator(), MeshTopology(side, noc), noc)
+        idle = NocFabric(Simulator(), MeshTopology(side, noc), noc)
+        _drive_noc(busy, sends, reset_at)
+        assert idle.link_busy_cycles() == {} and idle.max_link_utilization() == 0.0
+        before = (busy.link_busy_cycles(), busy.link_utilization())
+        shared = _drive_noc(idle, other_sends, other_reset_at)
+        assert (busy.link_busy_cycles(), busy.link_utilization()) == before
+        alone = NocFabric(Simulator(), _PerFabricMesh(side, noc), noc)
+        assert shared == _drive_noc(alone, other_sends, other_reset_at)
 
 
 class TestTorusProperties:

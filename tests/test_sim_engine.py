@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import perf
 from repro.sim.engine import Process, Simulator, drain
 
 
@@ -172,6 +173,23 @@ class TestFastPath:
             sim.cancel(event)
         sim.run()
         assert fired == ["fast"]
+
+    def test_fast_event_count_settles_on_step_and_run(self):
+        # fast_events is derived from the seq counter minus the cancellable
+        # schedules, so cancelled and executed cancellable events never
+        # count, and events scheduled from callbacks do.
+        with perf.session() as session:
+            sim = Simulator()
+            for i in range(5):
+                sim.schedule_fast(i, sim.schedule_fast, 10, lambda: None)
+            sim.cancel(sim.schedule(2, lambda: None))
+            sim.schedule_at(3, lambda: None)
+            sim.step()
+            assert sim._perf.fast_events == 6
+            sim.run(until=4)
+            sim.run()
+        assert session.fast_events == 10
+        assert session.events == 11
 
     def test_step_executes_fast_events(self):
         sim = Simulator()

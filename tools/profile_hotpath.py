@@ -4,8 +4,12 @@
 Profiles either the NOC packet-injection microbenchmark (the same mix the
 perf baseline measures, at a chosen load regime) or any registered
 experiment spec, and prints the top functions by internal time.  This is
-the tool that found the wins behind lookahead hop fusion and the
-allocation-free event fast path — start here before optimising anything.
+the tool that found the wins behind lookahead hop fusion, the
+allocation-free event fast path and compiled hop programs — start here
+before optimising anything.  On NOC-heavy runs the top rows are
+``NocFabric._hop`` (one call per hop event), ``Simulator.run`` and
+``NocFabric.send``; routes compile once per mesh geometry, so route
+lookup and compilation should not show up at all.
 
 Examples::
 
