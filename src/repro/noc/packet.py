@@ -38,14 +38,6 @@ class Packet:
     created_at: float = 0.0
     delivered_at: Optional[float] = None
 
-    def flits(self, link_bytes: int) -> int:
-        """Number of flits occupied on a link of ``link_bytes`` width."""
-        return flit_count(self.payload_bytes, link_bytes)
-
-    def wire_bytes(self, link_bytes: int) -> int:
-        """Total bytes occupied on the wire (header + padded payload)."""
-        return self.flits(link_bytes) * link_bytes
-
     @property
     def latency(self) -> Optional[float]:
         """End-to-end NOC latency, available once delivered."""

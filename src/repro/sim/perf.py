@@ -56,7 +56,11 @@ class PerfCounters:
         #: NOC hops collapsed into their predecessor by lookahead hop fusion
         #: (each one is a hop event that never had to be scheduled).
         self.fused_hops = 0
-        #: Events scheduled through the allocation-free fast path.
+        #: Events scheduled through the allocation-free fast path.  Not
+        #: counted per push: the simulator settles it at the end of every
+        #: ``run``/``step`` as ``seq`` values issued minus cancellable
+        #: schedules, so fast pushes made after the last ``run``/``step``
+        #: are not included.
         self.fast_events = 0
         #: Fault windows activated by an installed fault injector.
         self.fault_windows = 0

@@ -5,7 +5,7 @@ import pytest
 from repro.config import MessageClass, NocConfig
 from repro.noc.fabric import NocFabric, hop_fusion_default
 from repro.noc.mesh import MeshTopology
-from repro.noc.packet import HEADER_BYTES, Packet
+from repro.noc.packet import HEADER_BYTES, Packet, flit_count
 from repro.sim.engine import Simulator
 
 
@@ -17,13 +17,15 @@ def make_fabric(side: int = 8, hop_fusion=None):
 
 class TestPacket:
     def test_flit_count_includes_header(self):
-        packet = Packet((0, 0), (1, 0), 64, MessageClass.NI_DATA)
-        assert packet.flits(16) == 5
-        assert packet.wire_bytes(16) == 80
+        assert flit_count(64, 16) == 5
+        assert flit_count(64, 16) * 16 == 80
 
     def test_control_packet_is_two_flits(self):
-        packet = Packet((0, 0), (1, 0), 8, MessageClass.COHERENCE_REQUEST)
-        assert packet.flits(16) == 2
+        assert flit_count(8, 16) == 2
+
+    def test_negative_payload_rejected(self):
+        with pytest.raises(ValueError):
+            flit_count(-1, 16)
 
     def test_latency_unknown_until_delivery(self):
         packet = Packet((0, 0), (1, 0), 8, MessageClass.NI_DATA, created_at=5.0)

@@ -189,8 +189,11 @@ class TestRouteCacheInvalidation:
         fabric = NocFabric(sim, topo, config.noc)
         fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
         sim.run()
+        # Sends compile into the fabric's programs and leave the topology's
+        # route memo untouched; zero-load queries fill the memo.
+        assert fabric._programs and topo.route_cache_size() == 0
         fabric.zero_load_latency((0, 0), (7, 7), 64)
-        assert fabric._programs and topo.route_cache_size() > 0
+        assert topo.route_cache_size() > 0
         fabric.clear_route_cache()
         assert not fabric._programs
         assert topo.route_cache_size() == 0

@@ -1,10 +1,12 @@
 """Tests for the discrete-event kernel."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import perf
-from repro.sim.engine import Process, Simulator, drain
+from repro.sim.engine import Process, Simulator, _issued, drain
 
 
 class TestScheduling:
@@ -190,6 +192,15 @@ class TestFastPath:
             sim.run()
         assert session.fast_events == 10
         assert session.events == 11
+
+    def test_issued_reads_the_seq_counter(self):
+        # fast_events relies on reading how many values an itertools.count
+        # has handed out; fail loudly here if that ever stops working.
+        counter = itertools.count()
+        assert _issued(counter) == 0
+        next(counter)
+        next(counter)
+        assert _issued(counter) == 2
 
     def test_step_executes_fast_events(self):
         sim = Simulator()

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Same-host A/B of two commits on the perfbench workloads.
 
-Checks out a reference commit and the commit under test into throw-away
-``git worktree`` directories (local, no network), then runs each tree's own
-unmodified ``perfbench/run.py`` in alternating order — reference first on
-even pairs, the change first on odd ones — so host-speed drift hits both
-sides alike.  For every workload and end-to-end metric declared in the
-tested commit's ``BENCHMARK.json`` it prints each side's median and
-quartiles, the pairs the change won, and a verdict by the rule of the
-choosing-metrics guide:
+Checks out a reference commit and HEAD into throw-away ``git worktree``
+directories (local, no network), then runs each tree's own unmodified
+``perfbench/run.py`` in alternating order — reference first on even pairs,
+HEAD first on odd ones — so host-speed drift hits both sides alike.  Every
+run lasts the ``run_seconds`` that HEAD's ``BENCHMARK.json`` fixes.  For
+every workload and end-to-end metric declared there it prints each side's
+median and quartiles, the pairs the change won, and a verdict by the rule
+of the choosing-metrics guide:
 
 * ``win``: the change is better on at least nine tenths of the pairs (ties
   count for neither) and the medians differ by more than the reference's
@@ -22,13 +22,9 @@ choosing-metrics guide:
 Any run that reports ``correct: false`` or a failed run is listed and makes
 the tool exit 1.
 
-Examples::
+Example — ten pairs of load_knee at seed 1 against the parent commit::
 
-    # Ten pairs of load_knee at seed 1 against the parent commit:
     python tools/bench_ab.py --ref HEAD~1 --workload load_knee --pairs 10
-
-    # Every workload, shorter runs, raw samples saved:
-    python tools/bench_ab.py --ref v1 --pairs 10 --seconds 10 --json ab.json
 """
 
 from __future__ import annotations
@@ -102,36 +98,33 @@ def verdict(ref: Sequence[float], new: Sequence[float], better: str, bound: floa
     else:
         outcome = "within bound"
     return {"ref": ref_q, "new": new_q, "ratio": new_q[1] / ref_q[1] if ref_q[1] else math.nan,
-            "won": won, "pairs": len(ref), "ref_iqr": iqr, "verdict": outcome}
+            "won": won, "pairs": len(ref), "verdict": outcome}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="reference commit (e.g. HEAD~1)")
-    parser.add_argument("--new", default="HEAD", help="commit under test (default HEAD)")
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable; default every declared workload)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="perfbench --seconds for every run (same on both sides)")
-    parser.add_argument("--json", help="write every sample and verdict to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    trees = {"ref": _checkout(args.ref), "new": _checkout(args.new)}
+    trees = {"ref": _checkout(args.ref), "new": _checkout("HEAD")}
     try:
         with open(os.path.join(trees["new"], "BENCHMARK.json"), encoding="utf-8") as handle:
             declared = json.load(handle)
         metrics = declared["end_to_end"]
+        seconds = float(declared["run_seconds"])
         workloads = args.workload or [w["name"] for w in declared["workloads"]]
         samples = {w: {side: [] for side in trees} for w in workloads}
         problems: List[str] = []
         for workload in workloads:
             for pair in range(args.pairs):
                 for side in (("ref", "new") if pair % 2 == 0 else ("new", "ref")):
-                    outcome = run_once(trees[side], workload, args.seed, args.seconds)
+                    outcome = run_once(trees[side], workload, args.seed, seconds)
                     samples[workload][side].append(outcome)
                     if not outcome.get("correct") or outcome.get("failed"):
                         problems.append("%s %s pair %d: correct=%s failed=%s %s" % (
@@ -142,15 +135,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in set(trees.values()):
             _remove(path)
 
-    report = {"ref": _git("rev-parse", args.ref), "new": _git("rev-parse", args.new),
-              "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
-              "workloads": {}}
     print("A/B  ref %s  new %s  seed %d  %d pairs  --seconds %g" % (
-        report["ref"][:10], report["new"][:10], args.seed, args.pairs, args.seconds))
+        _git("rev-parse", args.ref)[:10], _git("rev-parse", "HEAD")[:10],
+        args.seed, args.pairs, seconds))
     print("%-13s %-12s %-26s %-26s %6s %6s  %s" % (
         "workload", "metric", "ref median [Q1, Q3]", "new median [Q1, Q3]", "ratio", "won", "verdict"))
     for workload in workloads:
-        report["workloads"][workload] = {}
         for metric in metrics:
             name = metric["name"]
             ref = [run["metrics"][name]["value"] for run in samples[workload]["ref"]
@@ -160,20 +150,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             if len(ref) != args.pairs or len(new) != args.pairs:
                 continue
             result = verdict(ref, new, metric["better"], metric["bound"])
-            result.update({"ref_samples": ref, "new_samples": new, "unit": metric["unit"]})
-            report["workloads"][workload][name] = result
             print("%-13s %-12s %-26s %-26s %6.3f %6s  %s" % (
                 workload, name,
                 "%.4g [%.4g, %.4g]" % (result["ref"][1], result["ref"][0], result["ref"][2]),
                 "%.4g [%.4g, %.4g]" % (result["new"][1], result["new"][0], result["new"][2]),
                 result["ratio"], "%d/%d" % (result["won"], result["pairs"]), result["verdict"]))
-    report["problems"] = problems
     for problem in problems:
         print("INCORRECT RUN: " + problem)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return 1 if problems else 0
 
 
