@@ -1,6 +1,6 @@
 """The ``fault_profile`` figure: per-window tail latency around fault windows.
 
-Renders the :meth:`~repro.faults.metrics.WindowedTails.window_percentiles`
+Renders the :meth:`~repro.sim.stats.WindowedTails.window_percentiles`
 rows a faulted run collects into a deterministic ASCII profile: one bar per
 tail window scaled to the worst p99, with windows overlapping a fault (or
 cascade) window marked, and a recovery-transient summary computed by

@@ -25,7 +25,7 @@ from repro.analysis.fault_profile import render_fault_profile
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
-from repro.experiments.load_sweep import DROP_LIMIT
+from repro.experiments.load_sweep import DROP_LIMIT, meets_slo
 from repro.experiments.scenario_run import parse_workload_params
 from repro.experiments.spec import Parameter, experiment
 from repro.faults.metrics import recovery_transient_cycles, tail_amplification
@@ -209,20 +209,9 @@ def run_chaos_sweep(
         baseline_p99 = baseline_latency.get("p99", 0.0)
         if baseline_mean_cycles is None and baseline_latency.get("count", 0) > 0:
             # The fault-free lowest measured load that completed requests
-            # defines the SLO reference for the whole grid (load_sweep's
-            # contract, so the two experiments' SLO lines agree).
+            # defines the SLO reference for the whole grid.
             baseline_mean_cycles = baseline_latency["mean"]
-
-        def meets_slo(point) -> bool:
-            latency = point.latency_cycles
-            return (
-                baseline_mean_cycles is not None
-                and latency.get("count", 0) > 0
-                and latency.get("p99", 0.0) <= slo_factor * baseline_mean_cycles
-                and point.drop_fraction <= DROP_LIMIT
-            )
-
-        baseline_ok = meets_slo(baseline)
+        baseline_ok = meets_slo(baseline, baseline_mean_cycles, slo_factor)
         if baseline_ok:
             # Loads walk in ascending order, so the last SLO-meeting point
             # is the highest load the row's intensity sustains.
@@ -263,7 +252,7 @@ def run_chaos_sweep(
                 transients[intensity].append(transient)
             if offered == load_points[-1] and intensity == intensity_points[-1]:
                 profile_cell = (profile, baseline_p99)
-            point_ok = meets_slo(point)
+            point_ok = meets_slo(point, baseline_mean_cycles, slo_factor)
             if point_ok:
                 saturation[intensity] = (point.achieved_per_kcycle, offered)
             result.add_row(

@@ -4,8 +4,8 @@ The paper's headline methodology is latency *under load*: each NI design is
 judged by how far offered load can climb before the latency distribution
 degrades.  This experiment drives any registered scenario open loop
 (:class:`~repro.load.driver.OpenLoopDriver`) at a ladder of offered loads,
-reports exact p50/p95/p99/p99.9 per load point (full-stream histograms, not
-sampled reservoirs), and derives the *saturation throughput*: the highest
+reports exact p50/p95/p99/p99.9 per load point (each core's full-stream
+histogram), and derives the *saturation throughput*: the highest
 achieved throughput whose tail still meets the SLO
 
     p99 <= slo_factor x (mean latency at the lowest measured load)
@@ -36,6 +36,23 @@ from repro.scenario.spec import ScenarioSpec
 DEFAULT_LOADS = (2.0, 5.0, 10.0, 20.0, 40.0)
 #: Largest acceptable fraction of dropped (queue-overflow) arrivals.
 DROP_LIMIT = 0.01
+
+
+def meets_slo(point, baseline_mean_cycles: Optional[float], slo_factor: float) -> bool:
+    """The SLO verdict shared by ``load_sweep`` and ``chaos_sweep``.
+
+    A load point meets the SLO when it completed requests, its p99 stays
+    within ``slo_factor`` times the baseline mean (the lowest measured load
+    that completed requests; None until one has), and at most
+    :data:`DROP_LIMIT` of its arrivals were dropped.
+    """
+    latency = point.latency_cycles
+    return (
+        baseline_mean_cycles is not None
+        and latency.get("count", 0) > 0
+        and latency.get("p99", 0.0) <= slo_factor * baseline_mean_cycles
+        and point.drop_fraction <= DROP_LIMIT
+    )
 
 
 @experiment(
@@ -154,16 +171,11 @@ def run_load_sweep(
             # "zero-load" reference; a point too sparse to finish anything in
             # the window must not poison the SLO with a zero baseline.
             baseline_mean_cycles = latency["mean"]
-        meets_slo = (
-            baseline_mean_cycles is not None
-            and latency.get("count", 0) > 0
-            and latency.get("p99", 0.0) <= slo_factor * baseline_mean_cycles
-            and point.drop_fraction <= DROP_LIMIT
-        )
+        point_ok = meets_slo(point, baseline_mean_cycles, slo_factor)
         if latency.get("count", 0) == 0:
             # Too sparse to measure: not an SLO verdict either way.
             empty_points.append(offered)
-        elif meets_slo:
+        elif point_ok:
             if first_violation is None:
                 saturation = (point.achieved_per_kcycle, offered)
             else:
@@ -187,7 +199,7 @@ def run_load_sweep(
             round(point.latency_ns("p99"), 1),
             round(point.latency_ns("p99.9"), 1),
             round(point.mean_queue_depth, 2),
-            meets_slo,
+            point_ok,
         )
     # `frequency` was captured from the built scenario's config — the same
     # clock every per-row ns conversion used.

@@ -21,11 +21,7 @@ from repro.faults.injector import (
     derive_seed,
     validate_fault_params,
 )
-from repro.faults.metrics import (
-    WindowedTails,
-    recovery_transient_cycles,
-    tail_amplification,
-)
+from repro.faults.metrics import recovery_transient_cycles, tail_amplification
 from repro.faults.models import FaultModel
 from repro.faults.schedule import FaultSchedule
 
@@ -39,7 +35,6 @@ __all__ = [
     "FaultSchedule",
     "FaultState",
     "SCHEDULE_PARAM_KEYS",
-    "WindowedTails",
     "build_fault_injector",
     "derive_seed",
     "recovery_transient_cycles",

@@ -13,19 +13,16 @@ twin (same spec, same seed, same arrival schedule):
   the rolling p99 is back within a tolerance of the fault-free baseline.
 
 Recovery needs latency *as a function of time*, which is what
-:class:`WindowedTails` records: completions are bucketed into fixed windows
-of the simulation clock, one mergeable
-:class:`~repro.sim.stats.LatencyHistogram` per window, so any sub-range of
-the run (a fault window, the healthy complement, the post-recovery ramp) can
-be merged into an exact tail on demand.
+:class:`~repro.sim.stats.WindowedTails` records: completions are bucketed
+into fixed windows of the simulation clock, one
+:class:`~repro.sim.stats.LatencyHistogram` per window, and its per-window
+p99 rows feed :func:`recovery_transient_cycles`.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.sim.stats import LatencyHistogram
 
 #: Matches the per-intensity resilience digest ``chaos_sweep`` notes, e.g.
 #: ``resilience: link_down intensity 0.50: degraded saturation 4.93
@@ -35,57 +32,6 @@ _RESILIENCE_NOTE = re.compile(
     r"^resilience: \S+ intensity (?P<intensity>[0-9.]+): "
     r"(?:degraded saturation (?P<throughput>[0-9.]+) req/kcycle|SLO not met)"
 )
-
-
-class WindowedTails:
-    """Per-time-window latency histograms over one run.
-
-    ``record(now, latency)`` buckets a completion by the simulation time it
-    completed at; buckets are sparse (only windows that saw completions
-    exist) and hold full histograms, so both per-window percentiles and
-    merged range percentiles are exact.
-    """
-
-    def __init__(self, window_cycles: float, name: str = "windowed-latency") -> None:
-        if window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
-        self.window_cycles = float(window_cycles)
-        self.name = name
-        self._buckets: Dict[int, LatencyHistogram] = {}
-
-    def record(self, now: float, latency: float) -> None:
-        index = int(now // self.window_cycles)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = LatencyHistogram(
-                "%s[%d]" % (self.name, index)
-            )
-        bucket.record(latency)
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def merged_range(self, start: float, end: float) -> LatencyHistogram:
-        """One histogram merging every window overlapping ``[start, end)``."""
-        merged = LatencyHistogram("%s[%g:%g]" % (self.name, start, end))
-        if end <= start:
-            return merged
-        first = int(start // self.window_cycles)
-        last = int(end // self.window_cycles)
-        if end == last * self.window_cycles:
-            last -= 1  # end on a boundary: the window starting there is out
-        for index in range(first, last + 1):
-            bucket = self._buckets.get(index)
-            if bucket is not None:
-                merged.merge(bucket)
-        return merged
-
-    def window_percentiles(self, p: float = 99.0) -> List[Tuple[float, int, float]]:
-        """Sorted ``(window_start, count, percentile)`` rows for every window."""
-        return [
-            (index * self.window_cycles, bucket.count, bucket.percentile(p))
-            for index, bucket in sorted(self._buckets.items())
-        ]
 
 
 def degraded_saturation_points(notes: Sequence[str]) -> Dict[float, float]:
@@ -138,8 +84,8 @@ def recovery_transient_cycles(
     """Mean cycles from fault recovery until the rolling p99 is healthy again.
 
     For each fault window's recovery time, scans the per-window p99 rows
-    (from :meth:`WindowedTails.window_percentiles`) for the first
-    completion-bearing window at/after recovery whose p99 is within
+    (from :meth:`~repro.sim.stats.WindowedTails.window_percentiles`) for the
+    first completion-bearing window at/after recovery whose p99 is within
     ``tolerance`` times the fault-free baseline; the transient is measured
     to that window's *end* (the earliest time the rolling tail is provably
     back).  Windows that never recover within the recorded range are

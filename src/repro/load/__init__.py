@@ -12,8 +12,8 @@ needs:
 * **The open-loop driver** (:mod:`repro.load.driver`) — wraps any registered
   workload, injects requests on the arrival clock with bounded per-core
   queues and drop accounting, and measures arrival-to-completion latency
-  into exact :class:`~repro.sim.stats.LatencyHistogram` recorders (with
-  per-tenant breakdowns for multi-tenant mixes);
+  into each open-loop core's :class:`~repro.sim.stats.LatencyHistogram`
+  (merged into per-tenant breakdowns for multi-tenant mixes);
 * **The saturation sweep** (:mod:`repro.experiments.load_sweep`) — the
   ``load_sweep`` experiment walks offered load across load points, reports
   exact p50/p95/p99/p99.9 per point and finds the saturation throughput:

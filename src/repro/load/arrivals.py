@@ -16,7 +16,7 @@ same injection schedule, on any worker process (see
 
 Built-ins:
 
-* ``deterministic`` — constant gaps (the lowest-variance baseline);
+* ``deterministic`` — constant gaps (the jitter-free baseline);
 * ``poisson`` — exponential gaps (memoryless, the standard open-loop model);
 * ``bursty`` — MMPP-style on/off modulation: exponential dwell times switch
   between a silent state and an on state whose instantaneous rate is scaled
@@ -127,7 +127,7 @@ class ArrivalProcess(abc.ABC):
 
 @register_arrival_process("deterministic")
 class DeterministicArrivals(ArrivalProcess):
-    """Constant inter-arrival gaps: the zero-variance open-loop baseline."""
+    """Constant inter-arrival gaps: the jitter-free open-loop baseline."""
 
     name = "deterministic"
     param_defaults: Mapping[str, object] = {}

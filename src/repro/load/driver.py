@@ -9,7 +9,9 @@ of the workload's cores.  Requests wait in a bounded per-core queue when the
 core is saturated and are *dropped* (and accounted) when the queue is full,
 so the driver exposes exactly the latency-under-load behaviour the paper's
 headline figures are about: end-to-end latency is measured from the arrival
-instant, queueing included, into exact-histogram recorders.
+instant, queueing included, into each core's
+:class:`~repro.sim.stats.LatencyHistogram` (installed by
+:meth:`~repro.node.core_model.CoreModel.open_loop`).
 
 Multi-tenant mixes partition the workload's cores between
 :class:`TenantLoad` entries, each with its own arrival process and share of
@@ -20,7 +22,7 @@ A ``faults`` name (``FAULT_MODELS`` registry) runs the load under seeded
 fault injection: a :class:`~repro.faults.injector.FaultInjector` is installed
 for the run's horizon, arrivals shed by an active ``ni_stall`` fault are
 accounted as *fault-induced* drops (separate from queue-overflow drops), and
-completions additionally feed a :class:`~repro.faults.metrics.WindowedTails`
+completions additionally feed a :class:`~repro.sim.stats.WindowedTails`
 recorder so results carry per-window p99 rows for recovery analysis.
 """
 
@@ -35,12 +37,12 @@ from repro.errors import WorkloadError
 from repro.load.arrivals import ArrivalProcess
 from repro.obs import hooks as obs_hooks
 from repro.scenario.registry import ARRIVALS, FAULT_MODELS
-from repro.sim.stats import LatencyHistogram, StatAccumulator
+from repro.sim.stats import LatencyHistogram, StatAccumulator, WindowedTails
 
 #: Default bound on requests waiting per core before arrivals are dropped.
 DEFAULT_QUEUE_DEPTH = 64
 
-#: Default :class:`~repro.faults.metrics.WindowedTails` bucket width used for
+#: Default :class:`~repro.sim.stats.WindowedTails` bucket width used for
 #: per-window tail rows on faulted runs (overridable via the
 #: ``tail_window_cycles`` fault parameter).
 DEFAULT_TAIL_WINDOW_CYCLES = 500.0
@@ -106,9 +108,7 @@ class _TenantState:
     def merged_histogram(self) -> LatencyHistogram:
         merged = LatencyHistogram("%s-latency" % self.tenant.name)
         for core in self.cores:
-            histogram = core.latency.histogram
-            if histogram is not None:
-                merged.merge(histogram)
+            merged.merge(core.latency)
         return merged
 
 
@@ -408,7 +408,6 @@ class OpenLoopDriver:
         self._measure_start = math.inf  # nothing counts until warm-up ends
         if self.faults is not None:
             from repro.faults import build_fault_injector
-            from repro.faults.metrics import WindowedTails
 
             params = dict(self.fault_params)
             tail_window = float(
@@ -437,7 +436,6 @@ class OpenLoopDriver:
             attach_driver_sampler(obs, self)
         for state in self._states:
             for core in state.cores:
-                core.use_exact_latency()
                 core.open_loop(
                     max_outstanding=self.max_outstanding,
                     on_op_complete=self._completion_counter(state),

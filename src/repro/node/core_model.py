@@ -26,7 +26,7 @@ from typing import Callable, Deque, Dict, Iterator, Optional
 from repro.errors import WorkloadError
 from repro.qp.entries import WorkQueueEntry
 from repro.qp.manager import QueuePair
-from repro.sim.stats import LatencyRecorder
+from repro.sim.stats import LatencyHistogram, LatencyRecorder
 
 
 class CoreModel:
@@ -41,10 +41,8 @@ class CoreModel:
         self.entity = soc.tile_complex(core_id).entity_id
         self.frontend = soc.ni.frontend_for_core(core_id)
         soc.register_completion_listener(core_id, self._on_cq_notification)
-        # Measurements
-        #: When True, (re)created latency recorders use the exact-histogram
-        #: mode so tail percentiles cover every completion (open-loop runs).
-        self.latency_exact = False
+        # Measurements: closed-loop cores keep every latency sample in order;
+        # open_loop() swaps in a histogram (see repro.sim.stats).
         self.latency = LatencyRecorder("core%d-e2e" % core_id)
         self.issued_ops = 0
         self.completed_ops = 0
@@ -99,12 +97,15 @@ class CoreModel:
 
         Unlike :meth:`start`'s pull iterator — whose exhaustion permanently
         retires the core — an empty open-loop queue just means the core idles
-        until the driver's arrival clock feeds the next request.
+        until the driver's arrival clock feeds the next request.  Latencies
+        from here on go into a :class:`~repro.sim.stats.LatencyHistogram`, so
+        the tails of an arbitrarily long run cover every completion.
         """
         if max_outstanding is not None and max_outstanding <= 0:
             raise WorkloadError("max_outstanding must be positive")
         self._issue_source = None
         self._open_queue = deque()
+        self.latency = LatencyHistogram("core%d-e2e" % self.core_id)
         self._max_outstanding = max_outstanding or self.qp.wq.capacity
         self._on_op_complete = on_op_complete
         self._stopped = False
@@ -133,16 +134,15 @@ class CoreModel:
         self._stopped = True
 
     def reset_measurements(self) -> None:
-        """Drop throughput/latency counters (end of warm-up)."""
-        self.latency = LatencyRecorder("core%d-e2e" % self.core_id, exact=self.latency_exact)
+        """Drop throughput/latency counters (end of warm-up).
+
+        The latency recorder is re-created as the same kind: a sample list
+        for closed-loop cores, a histogram after :meth:`open_loop`.
+        """
+        self.latency = type(self.latency)(self.latency.name)
         self.issued_ops = 0
         self.completed_ops = 0
         self.completed_bytes = 0
-
-    def use_exact_latency(self) -> None:
-        """Record latencies into an exact histogram from now on (drops samples)."""
-        self.latency_exact = True
-        self.reset_measurements()
 
     @property
     def outstanding(self) -> int:
@@ -228,7 +228,7 @@ class CoreModel:
         posted_at = self._posted_times.pop(cq_entry.wq_index, None)
         self.last_completion_posted_at = posted_at
         if posted_at is not None:
-            self.latency.add(self.sim.now - posted_at)
+            self.latency.record(self.sim.now - posted_at)
         self._outstanding = max(0, self._outstanding - 1)
         self.completed_ops += 1
         self.completed_bytes += cq_entry.length

@@ -92,7 +92,8 @@ class TelemetryProbe:
 class RollingTailsProbe(TelemetryProbe):
     """Latest closed-or-open window's p50/p99 completion latency.
 
-    Reads the driver's :class:`~repro.faults.metrics.WindowedTails`; on
+    Reads the newest window of the driver's
+    :class:`~repro.sim.stats.WindowedTails`; on
     fault-free runs the sampler installs one at this probe's
     ``window_cycles`` so rolling tails are observable without an injector.
     """
@@ -111,17 +112,16 @@ class RollingTailsProbe(TelemetryProbe):
         tails = ctx.tails
         if tails is None:
             return None
-        p99_rows = tails.window_percentiles(99.0)
-        if not p99_rows:
+        latest = tails.latest()
+        if latest is None:
             return None
-        p50_by_start = {row[0]: row[2] for row in tails.window_percentiles(50.0)}
-        window_start, count, p99 = p99_rows[-1]
+        window_start, histogram = latest
         return {
             "window_start": window_start,
-            "count": count,
-            "p50": p50_by_start.get(window_start, 0.0),
-            "p99": p99,
-            "windows": len(p99_rows),
+            "count": histogram.count,
+            "p50": histogram.percentile(50.0),
+            "p99": histogram.percentile(99.0),
+            "windows": len(tails),
         }
 
 

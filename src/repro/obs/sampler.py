@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.obs.probes import ProbeContext
+from repro.sim.stats import WindowedTails
 
 
 class Sampler:
@@ -57,13 +58,12 @@ def attach_driver_sampler(session: Any, driver: Any) -> Sampler:
     Called from ``OpenLoopDriver.run()`` once per run, after fault
     installation and before the warm-up window, with the run horizon known
     (warm-up + measurement cycles).  On fault-free runs where the
-    ``rolling_tails`` probe is selected, installs a ``WindowedTails`` at the
-    probe's window so rolling tails are observable without an injector —
-    recording into it is pure bookkeeping and never feeds back into the
-    simulation, preserving obs-off byte-identity.
+    ``rolling_tails`` probe is selected, installs a
+    :class:`~repro.sim.stats.WindowedTails` at the probe's window so rolling
+    tails are observable without an injector — recording into it is pure
+    bookkeeping and never feeds back into the simulation, preserving obs-off
+    byte-identity.
     """
-    from repro.faults.metrics import WindowedTails
-
     sim = driver.machine.sim
     horizon = sim.now + driver.warmup_cycles + driver.measure_cycles
     context = ProbeContext(

@@ -5,14 +5,15 @@ The kernel is deliberately small: a time-ordered event queue
 serialization and queuing on links, ports and pipelines
 (:mod:`repro.sim.resource`), and statistics collection with the
 windowed-convergence methodology of the paper's §5
-(:mod:`repro.sim.stats`).
+(:mod:`repro.sim.stats`): per-core latency recording that follows the
+loop — an ordered sample list for closed-loop cores, an exact-tail
+histogram for open-loop ones — plus time-windowed tails.
 """
 
 from repro.sim.engine import Event, Simulator, Process
 from repro.sim.resource import Resource, Channel, Pipeline
 from repro.sim.stats import (
     StatAccumulator,
-    ThroughputMeter,
     WindowedMonitor,
     LatencyHistogram,
     LatencyRecorder,
@@ -26,7 +27,6 @@ __all__ = [
     "Channel",
     "Pipeline",
     "StatAccumulator",
-    "ThroughputMeter",
     "WindowedMonitor",
     "LatencyHistogram",
     "LatencyRecorder",

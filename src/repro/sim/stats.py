@@ -4,17 +4,22 @@ Implements the measurement methodology of the paper's §5: metrics are
 monitored in fixed-size cycle windows and a run is considered converged when
 the metric changes by less than a tolerance (1 % in the paper) between
 consecutive windows.
+
+How a core records latency follows from how it is driven.  A closed-loop
+core keeps every sample in a :class:`LatencyRecorder` (an ordered list; its
+runs are short and its readers slice and rank the raw stream).  An
+open-loop core records into a :class:`LatencyHistogram`, whose tails cover
+every completion of an arbitrarily long run at bounded bucket resolution;
+:class:`WindowedTails` buckets the same completions by simulation time.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Percentiles reported by :meth:`LatencyRecorder.summary` and the load
-#: subsystem's tail-latency tables.
+#: Percentiles reported by :meth:`LatencyHistogram.percentiles` (the load
+#: subsystem's tail-latency tables).
 TAIL_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
 
@@ -26,15 +31,14 @@ class LatencyHistogram:
     ``2**sub_bucket_bits`` get a bucket each (exact to one cycle), larger
     values share ``2**(sub_bucket_bits-1)`` sub-buckets per power of two, so
     the quantization error of any recorded value is bounded by
-    ``2**-(sub_bucket_bits-1)`` relative.  Unlike a sampling reservoir the
-    histogram covers *every* recorded value, which makes high percentiles
-    (p99, p99.9) of long runs exact up to that bucket resolution instead of
-    subject to sampling noise.
+    ``2**-(sub_bucket_bits-1)`` relative.  The histogram covers *every*
+    recorded value, which makes high percentiles (p99, p99.9) of long runs
+    exact up to that bucket resolution.
 
     Buckets are kept in a sparse dict, so memory stays proportional to the
     number of distinct latency magnitudes observed, not the value range.
     Histograms with the same ``sub_bucket_bits`` merge losslessly, which is
-    how per-core recorders aggregate into per-tenant and machine-wide tails.
+    how per-core histograms aggregate into per-tenant and machine-wide tails.
     """
 
     __slots__ = ("name", "sub_bucket_bits", "count", "total",
@@ -163,45 +167,31 @@ def _percentile_key(p: float) -> str:
 
 
 class StatAccumulator:
-    """Streaming mean / variance / extremes for scalar samples."""
+    """Streaming count / total / mean for scalar samples.
 
-    __slots__ = ("name", "count", "_mean", "_m2", "minimum", "maximum", "total")
+    The mean is Welford's running update rather than ``total / count``:
+    the two differ in the last bits, and reported means (e.g. the load
+    driver's queue depth) are pinned to the running form.
+    """
+
+    __slots__ = ("name", "count", "_mean", "total")
 
     def __init__(self, name: str = "stat") -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
         self.total = 0.0
 
     def add(self, value: float) -> None:
-        """Record one sample (Welford's online algorithm)."""
+        """Record one sample."""
         self.count += 1
         self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
+        self._mean += (value - self._mean) / self.count
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of the samples (0.0 if empty)."""
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples."""
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the samples."""
-        return math.sqrt(self.variance)
 
     def merge(self, other: "StatAccumulator") -> None:
         """Fold another accumulator's samples into this one."""
@@ -210,181 +200,85 @@ class StatAccumulator:
         if self.count == 0:
             self.count = other.count
             self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
             self.total = other.total
             return
         combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
         self._mean = (self._mean * self.count + other._mean * other.count) / combined
         self.count = combined
         self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Summary dictionary (handy for experiment reports)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-            "total": self.total,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "StatAccumulator(%s, n=%d, mean=%.2f)" % (self.name, self.count, self.mean)
 
 
-class LatencyRecorder(StatAccumulator):
-    """A :class:`StatAccumulator` specialized for request latencies.
+class LatencyRecorder:
+    """Every end-to-end latency of a closed-loop core, in completion order.
 
-    Also keeps a bounded set of raw samples so percentiles can be computed.
-    Once more than ``max_samples`` values arrive, the retained set is a
-    uniform reservoir over the *whole* stream (Vitter's algorithm R) rather
-    than the first ``max_samples`` values: keeping only the stream prefix
-    would freeze the percentiles on the warm-up transient and never reflect
-    steady state.  The reservoir's RNG is seeded from the recorder name, so
-    runs are reproducible and recorders do not perturb any global RNG.
-
-    With ``exact=True`` the recorder instead feeds every sample into a
-    :class:`LatencyHistogram` and :meth:`percentile` answers from it —
-    covering the whole stream at bounded bucket resolution.  No reservoir is
-    kept in this mode (:attr:`samples` stays empty): the histogram replaces
-    it, and skipping the per-sample reservoir bookkeeping keeps the
-    completion hot path lean.  Open-loop load runs use this mode; the
-    default stays reservoir-only so existing experiments keep byte-identical
-    output.
+    Closed-loop runs are short (a few hundred completions per core), and
+    their readers want the raw stream: the microbenchmark drops its warm-up
+    prefix by position and the key-value store takes a nearest-rank p99.
+    Open-loop cores record into a :class:`LatencyHistogram` instead, which
+    has the same ``name``/``count``/``record`` surface.
     """
 
-    __slots__ = ("_samples", "_max_samples", "_rng", "_histogram")
+    __slots__ = ("name", "samples")
 
-    def __init__(self, name: str = "latency", max_samples: int = 100_000,
-                 exact: bool = False) -> None:
-        super().__init__(name)
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
-        self._samples: List[float] = []
-        self._max_samples = max_samples
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._histogram: Optional[LatencyHistogram] = (
-            LatencyHistogram(name) if exact else None
-        )
-
-    def add(self, value: float) -> None:
-        super().add(value)
-        if self._histogram is not None:
-            self._histogram.record(value)
-            return
-        if len(self._samples) < self._max_samples:
-            self._samples.append(value)
-        else:
-            # Algorithm R: the i-th sample replaces a random slot with
-            # probability max_samples / i, keeping the reservoir uniform.
-            slot = self._rng.randrange(self.count)
-            if slot < self._max_samples:
-                self._samples[slot] = value
-
-    @property
-    def exact(self) -> bool:
-        """Whether percentiles cover the whole stream (histogram-backed)."""
-        return self._histogram is not None
-
-    @property
-    def histogram(self) -> Optional[LatencyHistogram]:
-        """The backing histogram in exact mode (None otherwise)."""
-        return self._histogram
-
-    @property
-    def samples(self) -> List[float]:
-        """The recorded samples (bounded by ``max_samples``).
-
-        In insertion order while the stream fits in the reservoir; once the
-        stream exceeds ``max_samples`` the order is arbitrary.  Always empty
-        in exact mode, where the histogram replaces the reservoir.
-        """
-        return list(self._samples)
-
-    def percentile(self, p: float) -> float:
-        """Return the ``p``-th percentile (0-100) of the recorded latencies.
-
-        Exact mode answers from the full-stream histogram; otherwise the
-        percentile is interpolated over the (possibly sampled) reservoir.
-        """
-        if self._histogram is not None:
-            return self._histogram.percentile(p)
-        return self._reservoir_percentile(sorted(self._samples), p)
-
-    @staticmethod
-    def _reservoir_percentile(ordered: List[float], p: float) -> float:
-        """Interpolated percentile over an already-sorted sample list."""
-        if not ordered:
-            return 0.0
-        if p <= 0:
-            return ordered[0]
-        if p >= 100:
-            return ordered[-1]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
-
-    def summary(self) -> Dict[str, object]:
-        """Streaming statistics plus tail percentiles, labelled by fidelity.
-
-        ``percentile_mode`` is ``"exact"`` when the percentiles cover every
-        recorded sample (histogram mode) and ``"approximate"`` when they are
-        computed over a reservoir that may have subsampled the stream.
-        """
-        summary: Dict[str, object] = self.as_dict()
-        if self._histogram is not None:
-            summary.update(self._histogram.percentiles())
-        else:
-            ordered = sorted(self._samples)  # one sort for all percentiles
-            for p in TAIL_PERCENTILES:
-                summary[_percentile_key(p)] = self._reservoir_percentile(ordered, p)
-        summary["percentile_mode"] = "exact" if self.exact else "approximate"
-        return summary
-
-
-class ThroughputMeter:
-    """Counts bytes (or events) delivered and converts them to rates."""
-
-    __slots__ = ("name", "bytes_delivered", "events", "_start_time")
-
-    def __init__(self, name: str = "throughput", start_time: float = 0.0) -> None:
+    def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self.bytes_delivered = 0
-        self.events = 0
-        self._start_time = start_time
+        self.samples: List[float] = []
 
-    def record(self, nbytes: int) -> None:
-        """Record a delivery of ``nbytes``."""
-        self.bytes_delivered += nbytes
-        self.events += 1
+    def record(self, value: float) -> None:
+        """Record one latency sample."""
+        self.samples.append(value)
 
-    def reset(self, now: float) -> None:
-        """Zero the counters and restart the measurement window at ``now``."""
-        self.bytes_delivered = 0
-        self.events = 0
-        self._start_time = now
+    @property
+    def count(self) -> int:
+        return len(self.samples)
 
-    def bytes_per_cycle(self, now: float) -> float:
-        """Average delivery rate since the window start."""
-        elapsed = now - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_delivered / elapsed
 
-    def gbps(self, now: float, frequency_ghz: float) -> float:
-        """Average delivery rate in GBps given the core clock frequency."""
-        return self.bytes_per_cycle(now) * frequency_ghz
+class WindowedTails:
+    """Per-time-window latency histograms over one run.
+
+    ``record(now, latency)`` buckets a completion by the simulation time it
+    completed at; buckets are sparse (only windows that saw completions
+    exist) and hold full histograms, so per-window percentiles are exact.
+    The load driver keeps one on faulted runs (per-window p99 rows for
+    recovery analysis) and the ``rolling_tails`` probe reads the newest
+    window.
+    """
+
+    def __init__(self, window_cycles: float, name: str = "windowed-latency") -> None:
+        if window_cycles <= 0:
+            raise ValueError("window_cycles must be positive")
+        self.window_cycles = float(window_cycles)
+        self.name = name
+        self._buckets: Dict[int, LatencyHistogram] = {}
+
+    def record(self, now: float, latency: float) -> None:
+        index = int(now // self.window_cycles)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = LatencyHistogram(
+                "%s[%d]" % (self.name, index)
+            )
+        bucket.record(latency)
+
+    def __len__(self) -> int:
+        return len(self._buckets)
+
+    def latest(self) -> Optional[Tuple[float, LatencyHistogram]]:
+        """``(window_start, histogram)`` of the newest window (None if empty)."""
+        if not self._buckets:
+            return None
+        index = max(self._buckets)
+        return index * self.window_cycles, self._buckets[index]
+
+    def window_percentiles(self, p: float = 99.0) -> List[Tuple[float, int, float]]:
+        """Sorted ``(window_start, count, percentile)`` rows for every window."""
+        return [
+            (index * self.window_cycles, bucket.count, bucket.percentile(p))
+            for index, bucket in sorted(self._buckets.items())
+        ]
 
 
 class WindowedMonitor:

@@ -7,6 +7,7 @@ from repro.node.soc import ManycoreSoc
 from repro.node.traffic import RemoteEndEmulator
 from repro.errors import WorkloadError
 from repro.qp.entries import RemoteOp, WorkQueueEntry
+from repro.sim.stats import LatencyHistogram, LatencyRecorder
 
 
 REGION = 1 << 22
@@ -102,6 +103,20 @@ class TestAsynchronousOperation:
         assert core.completed_ops == 0
         assert core.latency.count == 0
 
+    def test_latency_recorder_follows_the_loop(self, split_config):
+        # Closed-loop cores keep a sample list; open_loop() installs a
+        # histogram, and the end-of-warm-up reset keeps that kind.
+        soc, emulator, core = build_node(split_config)
+        assert isinstance(core.latency, LatencyRecorder)
+        core.open_loop(max_outstanding=1)
+        core.feed(next(read_entries(1)))
+        soc.run()
+        assert isinstance(core.latency, LatencyHistogram)
+        assert core.latency.count == 1
+        core.reset_measurements()
+        assert isinstance(core.latency, LatencyHistogram)
+        assert core.latency.count == 0
+
 
 class TestEdgeDesignInteraction:
     def test_edge_design_round_trip_works_end_to_end(self, edge_config):
@@ -119,4 +134,6 @@ class TestEdgeDesignInteraction:
         edge_soc = edge_core.soc
         edge_core.start(read_entries(3), max_outstanding=1)
         edge_soc.run()
-        assert edge_core.latency.mean > split_core.latency.mean
+        edge_samples = edge_core.latency.samples
+        split_samples = split_core.latency.samples
+        assert sum(edge_samples) / len(edge_samples) > sum(split_samples) / len(split_samples)

@@ -21,7 +21,6 @@ from repro.faults import (
     FaultCascade,
     FaultInjector,
     FaultSchedule,
-    WindowedTails,
     build_fault_injector,
     derive_seed,
     recovery_transient_cycles,
@@ -32,6 +31,7 @@ from repro.load import OpenLoopDriver
 from repro.scenario.builder import MachineBuilder
 from repro.scenario.registry import FAULT_MODELS
 from repro.scenario.spec import ScenarioSpec
+from repro.sim.stats import WindowedTails
 
 
 def build_scenario(**spec_kwargs):
@@ -749,14 +749,9 @@ class TestResilienceMetrics:
         rows = tails.window_percentiles(99.0)
         assert [(start, count) for start, count, _ in rows] == [(0.0, 1), (100.0, 2)]
         assert len(tails) == 2
-
-    def test_merged_range_is_boundary_exclusive(self):
-        tails = WindowedTails(100.0)
-        tails.record(50.0, 10.0)
-        tails.record(150.0, 20.0)
-        assert tails.merged_range(0.0, 100.0).count == 1
-        assert tails.merged_range(0.0, 200.0).count == 2
-        assert tails.merged_range(200.0, 100.0).count == 0
+        start, newest = tails.latest()
+        assert (start, newest.count, newest.percentile(99.0)) == rows[-1]
+        assert WindowedTails(100.0).latest() is None
 
     def test_tail_amplification_guards_empty_baseline(self):
         assert tail_amplification(100.0, 0.0) == 0.0

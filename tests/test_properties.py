@@ -281,10 +281,8 @@ class TestStatProperties:
         for value in values:
             acc.add(value)
         assert acc.count == len(values)
-        assert acc.minimum == min(values)
-        assert acc.maximum == max(values)
+        assert acc.total == sum(values)
         assert abs(acc.mean - sum(values) / len(values)) < 1e-6 * max(1.0, abs(sum(values)))
-        assert acc.variance >= -1e-9
 
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=2, max_size=100),
            st.integers(1, 99))
